@@ -258,8 +258,9 @@ class RetainedCensus:
     plain dicts they replace alike, so a benchmark can run the same
     workload under both and compare peaks.  :meth:`observe` totals the
     live entries and reports *new* peaks through the environment's
-    probe (:meth:`~repro.simcore.probe.Probe.on_retained`), mirroring
-    the telemetry layer's ``on_spans_retained`` self-metering.
+    probe (:meth:`~repro.simcore.probe.Probe.on_retained` with source
+    ``"census"``), the same hook the telemetry layer's self-metering
+    reports through.
     """
 
     def __init__(self, env: Optional[Any] = None) -> None:
@@ -287,7 +288,7 @@ class RetainedCensus:
             self.high_water = total
             probe = getattr(self.env, "probe", None)
             if probe is not None:
-                probe.on_retained(total)
+                probe.on_retained("census", total)
         return total
 
     def __repr__(self) -> str:

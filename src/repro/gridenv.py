@@ -32,7 +32,6 @@ from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.fork import ForkScheduler
 from repro.schedulers.reservation import ReservationScheduler
 from repro.simcore.environment import Environment
-from repro.simcore.equeue import EventQueue
 from repro.simcore.probe import FanoutProbe, Probe
 from repro.simcore.rng import RngRegistry
 from repro.simcore.tracing import NullTracer, SpanSink, Tracer
@@ -165,9 +164,6 @@ class GridBuilder:
         user: str = "alice",
         client_host: str = CLIENT_HOST,
         trace: bool = True,
-        queue: "str | EventQueue | None" = None,
-        slotted_delivery: bool = False,
-        slot_width: Optional[float] = None,
     ) -> None:
         self.seed = seed
         self.latency = latency
@@ -178,17 +174,6 @@ class GridBuilder:
         #: ``trace=False`` builds the grid on a NullTracer: no spans, no
         #: metrics, identical simulation behaviour (tested).
         self.trace = trace
-        #: Kernel event-queue selection, forwarded to
-        #: :class:`~repro.simcore.environment.Environment` — ``None`` /
-        #: ``"heap"`` / ``"calendar"`` or an
-        #: :class:`~repro.simcore.equeue.EventQueue` instance.
-        self.queue = queue
-        #: Forwarded to :class:`~repro.net.network.Network`: coalesce
-        #: same-deadline deliveries into one kernel event per
-        #: (destination, deadline) slot.  Opt-in — see the Network
-        #: docstring for the (same-instant ordering) caveat.
-        self.slotted_delivery = slotted_delivery
-        self.slot_width = slot_width
         self._machines: list[dict] = []
         self._programs: dict[str, Program] = {}
         self._faults: list[FaultSpec] = []
@@ -330,7 +315,7 @@ class GridBuilder:
     def build(self) -> Grid:
         if not self._machines:
             raise ReproError("a grid needs at least one machine")
-        env = Environment(queue=self.queue)
+        env = Environment()
         probes = self._probes
         recorder: "Optional[Recorder]" = None
         counters: "Optional[OpCounters]" = None
@@ -364,13 +349,7 @@ class GridBuilder:
         tracer = (
             Tracer(env, sink=self._span_sink) if self.trace else NullTracer(env)
         )
-        network = Network(
-            env,
-            latency_model,
-            metrics=tracer.metrics,
-            slotted=self.slotted_delivery,
-            slot_width=self.slot_width,
-        )
+        network = Network(env, latency_model, metrics=tracer.metrics)
         network.add_host(self.client_host)
         ca = CertificateAuthority()
         credential = ca.issue(self.user)

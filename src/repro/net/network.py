@@ -13,7 +13,6 @@ uniform latency here.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
@@ -109,13 +108,8 @@ class Network:
       delivery time, FIFO per (src, dst) — are unchanged, but events
       that *interleave* with deliveries at the same instant may observe
       a different ordering than per-message mode, so slotting is opt-in
-      and benchmarks pin which mode they measure.
-
-    ``slot_width`` (seconds, slotted mode only) additionally quantizes
-    deadlines up to the next multiple of the width, trading delivery-
-    time granularity for more coalescing under jittered latency.  The
-    default (None) coalesces exact-equal deadlines only and never
-    changes delivery times.
+      and benchmarks pin which mode they measure.  Only exact-equal
+      deadlines coalesce, so delivery times never change.
     """
 
     def __init__(
@@ -124,15 +118,11 @@ class Network:
         latency_model: Optional[LatencyModel] = None,
         metrics: Optional[MetricsRegistry] = None,
         slotted: bool = False,
-        slot_width: Optional[float] = None,
     ) -> None:
-        if slot_width is not None and slot_width <= 0:
-            raise SimulationError(f"slot_width must be positive, got {slot_width!r}")
         self.env = env
         self.latency_model = latency_model or LatencyModel()
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.slotted = bool(slotted)
-        self.slot_width = slot_width
         self._hosts: set[str] = set()
         self._down: set[str] = set()
         self._mailboxes: dict[Endpoint, Store] = {}
@@ -285,11 +275,6 @@ class Network:
 
         now = self.env.now
         deadline = now + delay
-        width = self.slot_width
-        if width is not None:
-            # Quantize *up* so a message is never delivered before its
-            # modeled latency has elapsed.
-            deadline = math.ceil(deadline / width) * width
         key = (message.dst, deadline)
         slot = self._slots.get(key)
         if slot is not None:

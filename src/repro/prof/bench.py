@@ -53,7 +53,6 @@ SNAPSHOT_COUNTERS = (
     "obs.spans_recorded",
     "obs.spans_retained_high_water",
     "net.delivery_slots",
-    "queue.calendar.high_water",
     "ref.sim.heap_high_water",
     "mem.retained_high_water",
     "ref.mem.retained_high_water",
@@ -187,7 +186,6 @@ def _kernel_stress_run(
     sink=None,
     trace_spans: bool = False,
     probes: Sequence = (),
-    queue=None,
 ):
     """Run the raw-kernel stress workload; returns ``(tracer, counters)``.
 
@@ -211,10 +209,7 @@ def _kernel_stress_run(
     round (~1.3 × 10⁴ spans) — the workload behind ``telemetry_stress``
     and the streaming-sink gate.  ``sink`` is handed to the tracer
     (see :class:`~repro.simcore.tracing.SpanSink`); extra ``probes``
-    are fanned out with the op counters.  ``queue`` selects the kernel
-    event-queue implementation (see
-    :class:`~repro.simcore.equeue.EventQueue`) so tests can replay the
-    workload under every queue and compare traces.
+    are fanned out with the op counters.
     """
     from repro.net.address import Endpoint
     from repro.net.message import Message
@@ -224,7 +219,7 @@ def _kernel_stress_run(
     from repro.simcore.probe import FanoutProbe
     from repro.simcore.tracing import Tracer
 
-    env = Environment(compact_cancelled=compact_cancelled, queue=queue)
+    env = Environment(compact_cancelled=compact_cancelled)
     counters = OpCounters()
     for probe in probes:
         # Env-aware probes (e.g. a FlightRecorder) need the clock.
@@ -351,8 +346,8 @@ def _run_telemetry_stress(seed: int) -> Profile:
 #: link — with latency five wave periods deep, the reference kernel
 #: holds ``5 × clients`` per-message delivery events in flight while
 #: slotted delivery holds five slots — plus timer churn with
-#: far-future watchdogs (compaction under both queues) and
-#: far-beyond-horizon sentinels (calendar wheel rollover).
+#: far-future watchdogs (heap compaction) and far-beyond-horizon
+#: sentinels.
 _SCALE_CLIENTS = 400
 _SCALE_WAVES = 200
 _SCALE_PERIOD = 1.0
@@ -369,9 +364,8 @@ class _TraceSignature(Probe):
     Hashes every processed-event timestamp and every network
     send/deliver/drop in order, so two runs have equal digests exactly
     when their kernels dispatched the same events at the same times and
-    the network moved the same messages in the same order — the
-    byte-identity the pluggable-queue contract promises, checked in
-    O(1) memory at 10⁵-event scale.
+    the network moved the same messages in the same order — trace
+    byte-identity checked in O(1) memory at 10⁵-event scale.
     """
 
     def __init__(self) -> None:
@@ -399,7 +393,7 @@ class _TraceSignature(Probe):
         return self._digest.hexdigest()
 
 
-def _kernel_scale_run(seed: int, queue=None, slotted: bool = False, probes: Sequence = ()):
+def _kernel_scale_run(seed: int, slotted: bool = False, probes: Sequence = ()):
     """Run one kernel_scale configuration; returns (env, network, counters, phase_end).
 
     Three concurrent phases, all deterministic (no RNG; ``seed`` only
@@ -410,16 +404,13 @@ def _kernel_scale_run(seed: int, queue=None, slotted: bool = False, probes: Sequ
       ``_SCALE_PERIOD`` seconds, for ``_SCALE_WAVES`` waves, across a
       WAN link ``_SCALE_LATENCY / _SCALE_PERIOD`` wave periods deep.
       The same-deadline fan-in is where slotted delivery collapses N
-      in-flight delivery events into one slot per wave, and the
-      same-instant ingest resumptions are where same-timestamp runs
-      dominate dispatch.
+      in-flight delivery events into one slot per wave.
     * **timer churn** — workers repeatedly arm a far-future watchdog
-      and retire it after a short round, flooding the queue with
+      and retire it after a short round, flooding the heap with
       cancelled entries that compaction must reclaim.
-    * **sentinels** — a handful of events scheduled ~10⁴ bucket-years
-      past the workload horizon; most are retired, the last two fire
-      into a near-empty queue, forcing the calendar queue through its
-      sparse-rollover direct search.
+    * **sentinels** — a handful of events scheduled far past the
+      workload horizon; most are retired, the last two fire into a
+      near-empty heap.
     """
     from repro.net.address import Endpoint
     from repro.net.message import Message
@@ -428,7 +419,7 @@ def _kernel_scale_run(seed: int, queue=None, slotted: bool = False, probes: Sequ
     from repro.simcore.environment import Environment
     from repro.simcore.probe import FanoutProbe
 
-    env = Environment(queue=queue)
+    env = Environment()
     counters = OpCounters()
     if probes:
         env.probe = FanoutProbe([counters, *probes])
@@ -490,47 +481,30 @@ def _kernel_scale_run(seed: int, queue=None, slotted: bool = False, probes: Sequ
 
 
 def _run_kernel_scale(seed: int) -> Profile:
-    """ROADMAP item 1 at ~2·10⁵ events: the pluggable-queue proof gate.
+    """ROADMAP item 1 at ~2·10⁵ events: the slotted-delivery gate.
 
-    Runs the workload three times —
+    Runs the workload twice —
 
-    1. **reference**: compacting heap, per-message delivery (the
-       pre-seam kernel, reported under ``ref.sim.*``);
-    2. **heap + slotted delivery**;
-    3. **calendar + slotted delivery** (the headline configuration,
-       reported under plain ``sim.*``);
+    1. **reference**: per-message delivery (reported under
+       ``ref.sim.*``);
+    2. **slotted delivery** (the headline configuration, reported
+       under plain ``sim.*``);
 
-    asserts the trace digests of (2) and (3) are identical (the
-    pop-order-equivalence contract, end to end, under batched dispatch
-    and slot coalescing), and asserts the headline configuration beats
-    the reference on scheduled events and queue high-water before
-    pinning both sides in the baseline (``queue.heap.*`` /
-    ``queue.calendar.*`` / ``net.delivery_slots``).
+    and asserts the headline configuration beats the reference on
+    scheduled events and heap high-water before pinning both sides in
+    the baseline (with ``net.delivery_slots``).
     """
     from repro.simcore.tracing import Tracer
 
-    ref_env, ref_net, ref_counters, _ = _kernel_scale_run(seed)
-    heap_sig = _TraceSignature()
-    heap_env, heap_net, _heap_counters, _ = _kernel_scale_run(
-        seed, queue="heap", slotted=True, probes=(heap_sig,)
-    )
-    cal_sig = _TraceSignature()
-    cal_env, cal_net, cal_counters, phase_end = _kernel_scale_run(
-        seed, queue="calendar", slotted=True, probes=(cal_sig,)
-    )
-    if heap_sig.hexdigest() != cal_sig.hexdigest():
-        raise ReproError(
-            "kernel_scale: event traces diverged between HeapQueue and "
-            "CalendarQueue under identical workloads — the pluggable-queue "
-            "pop-order contract is broken"
-        )
+    _, ref_net, ref_counters, _ = _kernel_scale_run(seed)
+    env, net, slotted_counters, phase_end = _kernel_scale_run(seed, slotted=True)
 
     ref = ref_counters.snapshot()
-    counters = cal_counters.snapshot()
+    counters = slotted_counters.snapshot()
     if counters["sim.heap_high_water"] >= ref["sim.heap_high_water"]:
         raise ReproError(
-            "kernel_scale: calendar + slotted delivery did not reduce the "
-            f"queue high-water mark ({counters['sim.heap_high_water']:g} vs "
+            "kernel_scale: slotted delivery did not reduce the heap "
+            f"high-water mark ({counters['sim.heap_high_water']:g} vs "
             f"reference {ref['sim.heap_high_water']:g})"
         )
     if counters["sim.events_scheduled"] >= ref["sim.events_scheduled"]:
@@ -541,15 +515,11 @@ def _run_kernel_scale(seed: int) -> Profile:
         )
     for key, value in sorted(ref.items()):
         counters[f"ref.{key}"] = value
-    for key, value in sorted(heap_env.queue.stats().items()):
-        counters[f"queue.heap.{key}"] = value
-    for key, value in sorted(cal_env.queue.stats().items()):
-        counters[f"queue.calendar.{key}"] = value
-    counters["net.delivery_slots"] = float(cal_net.delivery_slots)
+    counters["net.delivery_slots"] = float(net.delivery_slots)
     counters["ref.net.delivery_slots"] = float(ref_net.delivery_slots)
 
-    tracer = Tracer(cal_env)
-    root = tracer.record("kernel_scale", 0.0, cal_env.now)
+    tracer = Tracer(env)
+    root = tracer.record("kernel_scale", 0.0, env.now)
     tracer.record("burst_storm", 0.0, phase_end["storm"], parent=root)
     tracer.record("timer_churn", 0.0, phase_end["churn"], parent=root)
     tracer.record("sentinel_rollover", 0.0, phase_end["sentinel"], parent=root)
@@ -847,8 +817,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "kernel_scale",
-            "burst storm + timer churn at ~2e5 events under every queue "
-            "implementation: trace-identity and high-water proof gate",
+            "burst storm + timer churn at ~2e5 events, per-message vs "
+            "slotted delivery: scheduled-events and high-water proof gate",
             _run_kernel_scale,
         ),
         Scenario(

@@ -65,12 +65,11 @@ class OpCounters(Probe):
     def on_drop(self, message: "Message", reason: str) -> None:
         self.messages_dropped += 1
 
-    def on_spans_retained(self, count: int) -> None:
-        if count > self.spans_retained_high_water:
-            self.spans_retained_high_water = count
-
-    def on_retained(self, count: int) -> None:
-        if count > self.retained_high_water:
+    def on_retained(self, source: str, count: int) -> None:
+        if source == "spans":
+            if count > self.spans_retained_high_water:
+                self.spans_retained_high_water = count
+        elif count > self.retained_high_water:
             self.retained_high_water = count
 
     # -- export ------------------------------------------------------------

@@ -1,21 +1,20 @@
 """The discrete-event execution environment.
 
-:class:`Environment` owns simulated time; pending events live in a
-pluggable :class:`~repro.simcore.equeue.EventQueue` (the compacting
-binary heap by default, a calendar queue for million-event runs — see
-DESIGN.md §7).  ``run()`` pops events in (time, priority, sequence)
-order and invokes their callbacks; processes resume as callbacks of the
-events they wait on.  Time only advances between events — callbacks
-execute atomically at one instant, which gives the deterministic
-interleaving the co-allocation protocol tests rely on.
+:class:`Environment` owns simulated time and keeps pending events in
+a compacting binary heap (see DESIGN.md §7).  ``run()`` pops events in
+(time, priority, sequence) order and invokes their callbacks; processes
+resume as callbacks of the events they wait on.  Time only advances
+between events — callbacks execute atomically at one instant, which
+gives the deterministic interleaving the co-allocation protocol tests
+rely on.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
+from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.simcore.equeue import Entry, EventQueue, make_queue
 from repro.simcore.events import (
     AllOf,
     AnyOf,
@@ -52,39 +51,32 @@ class Environment:
     initial_time:
         Starting value of :attr:`now` (seconds).
     compact_cancelled:
-        Periodically drop cancelled events from the queue instead of
+        Periodically drop cancelled events from the heap instead of
         carrying them until their scheduled time.  Pop order is
         unaffected — entries are totally ordered by their unique
-        (time, priority, sequence) key, so the surviving multiset
-        reproduces the exact same pop sequence — but the queue
+        (time, priority, sequence) key, so re-heapifying the surviving
+        multiset reproduces the exact same pop sequence — but the heap
         high-water mark shrinks by orders of magnitude under timer
         churn (schedule a watchdog, cancel it, repeat).  The knob
-        exists so benchmarks can measure the pre-compaction kernel.
-    queue:
-        Pending-event storage: ``None`` or ``"heap"`` for the reference
-        compacting binary heap, ``"calendar"`` for the calendar queue,
-        or any :class:`~repro.simcore.equeue.EventQueue` instance.  All
-        implementations pop in the same total order, so this is a
-        performance choice, never a semantic one.  Queues that declare
-        ``batched`` are dispatched one same-(time, priority) run per
-        queue interaction instead of one event per pop.
+        exists so benchmarks and tests can use the lazy-deletion
+        kernel as a reference.
     """
 
+    #: Heap length below which compaction is never attempted.
+    _COMPACT_MIN = 128
+
     def __init__(
-        self,
-        initial_time: float = 0.0,
-        compact_cancelled: bool = True,
-        queue: Union[str, EventQueue, None] = None,
+        self, initial_time: float = 0.0, compact_cancelled: bool = True
     ) -> None:
         self._now = float(initial_time)
-        self._equeue = make_queue(queue, auto_compact=compact_cancelled)
-        self._batched = self._equeue.batched
-        #: Same-(time, priority) run currently being dispatched (batched
-        #: queues only) and the index of its next unserved entry.
-        self._batch: list[Entry] = []
-        self._batch_idx = 0
+        #: Pending entries ``(time, priority, sequence, event)``; the
+        #: first three fields form the unique, totally ordering key, so
+        #: comparisons never reach the (incomparable) event object.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
+        self._compact_cancelled = bool(compact_cancelled)
+        self._compact_floor = self._COMPACT_MIN
         #: Runtime-verification probe (see :mod:`repro.simcore.probe`);
         #: None means every instrumentation hook is a no-op.
         self.probe: "Optional[Probe]" = None
@@ -101,28 +93,12 @@ class Environment:
         """The process currently executing, if any."""
         return self._active_process
 
-    @property
-    def queue(self) -> EventQueue:
-        """The pending-event queue implementation in use."""
-        return self._equeue
-
     def peek(self) -> float:
         """Time of the next scheduled live event (``inf`` if none)."""
-        batch = self._batch
-        idx = self._batch_idx
-        nbatch = len(batch)
-        while idx < nbatch and batch[idx][3].cancelled:
-            idx += 1
-        self._batch_idx = idx
-        key = self._equeue.peek_key()
-        if idx < nbatch:
-            when = batch[idx][0]
-            if key is not None and key[0] < when:
-                return key[0]
-            return when
-        if key is not None:
-            return key[0]
-        return FOREVER
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else FOREVER
 
     @property
     def queue_size(self) -> int:
@@ -131,7 +107,7 @@ class Environment:
         that occupies memory — the heap high-water CI gate counts it —
         not the number of events that will still fire; see
         :attr:`live_size` for the latter."""
-        return len(self._equeue) + len(self._batch) - self._batch_idx
+        return len(self._heap)
 
     @property
     def live_size(self) -> int:
@@ -141,16 +117,28 @@ class Environment:
         excluded.  Computed by scanning the resident entries, so read
         it at sampling granularity, not per event.
         """
-        batch = self._batch
-        count = self._equeue.live_size
-        for index in range(self._batch_idx, len(batch)):
-            if not batch[index][3].cancelled:
+        count = 0
+        for entry in self._heap:
+            if not entry[3].cancelled:
                 count += 1
         return count
 
     def compact(self) -> None:
-        """Physically drop cancelled entries from the queue now."""
-        self._equeue.compact()
+        """Drop cancelled entries and re-heapify (amortized O(1)/event).
+
+        Every entry carries a unique (time, priority, sequence) key, so
+        the heap order is total and heapifying the surviving entries
+        yields the identical pop sequence the lazy-deletion heap would
+        have produced — byte-identical traces, smaller high-water mark.
+        The floor doubles with the live population, so a mostly-live
+        heap is never rescanned per schedule.
+        """
+        heap = self._heap
+        live = [entry for entry in heap if not entry[3].cancelled]
+        if len(live) < len(heap):
+            heapify(live)
+            self._heap = live
+        self._compact_floor = max(self._COMPACT_MIN, 2 * len(live))
 
     # -- scheduling ---------------------------------------------------------
 
@@ -160,48 +148,11 @@ class Environment:
             raise SimulationError(f"negative delay {delay!r}")
         self._eid += 1
         when = self._now + delay
-        equeue = self._equeue
-        equeue.push(when, priority, self._eid, event)
+        heappush(self._heap, (when, priority, self._eid, event))
+        if self._compact_cancelled and len(self._heap) > self._compact_floor:
+            self.compact()
         if self.probe is not None:
-            self.probe.on_schedule(
-                when, len(equeue) + len(self._batch) - self._batch_idx
-            )
-
-    def _next_batched(self) -> Entry:
-        """Next live entry under batched dispatch.
-
-        Serves the current run in sequence order, refilling it one
-        :meth:`~repro.simcore.equeue.EventQueue.pop_run` at a time.  An
-        entry scheduled *during* the run that sorts before the run's
-        remainder (an URGENT resume at the same instant) preempts it —
-        checked against the queue's minimum per served entry — so the
-        dispatch order is exactly the heap's.
-        """
-        equeue = self._equeue
-        peek_key = equeue.peek_key
-        batch = self._batch
-        idx = self._batch_idx
-        while True:
-            nbatch = len(batch)
-            while idx < nbatch:
-                candidate = batch[idx]
-                if candidate[3].cancelled:
-                    idx += 1
-                    continue
-                key = peek_key()
-                if key is not None and key < (candidate[0], candidate[1], candidate[2]):
-                    preempt = equeue.pop()
-                    if preempt is not None:
-                        self._batch_idx = idx
-                        return preempt
-                self._batch_idx = idx + 1
-                return candidate
-            batch = equeue.pop_run()
-            idx = 0
-            self._batch = batch
-            if not batch:
-                self._batch_idx = 0
-                raise EmptySchedule("event queue is empty")
+            self.probe.on_schedule(when, len(self._heap))
 
     def step(self) -> None:
         """Process the single next event, advancing the clock to it.
@@ -209,17 +160,15 @@ class Environment:
         Cancelled events are discarded without advancing the clock, so
         retired timers never prolong a simulation.
         """
-        if self._batched:
-            entry = self._next_batched()
-        else:
-            # Unbatched queues keep the exact one-pop cadence of the
-            # pre-seam kernel: pop discards cancelled entries itself,
-            # so this path pays one call per dispatched event.
-            entry = self._equeue.pop()
-            if entry is None:
+        # schedule() is never called mid-pop, so the local alias cannot
+        # go stale even though compact() rebinds self._heap.
+        heap = self._heap
+        while True:
+            if not heap:
                 raise EmptySchedule("event queue is empty")
-        when = entry[0]
-        event = entry[3]
+            when, _, _, event = heappop(heap)
+            if not event.cancelled:
+                break
         self._now = when
         if self.probe is not None:
             self.probe.on_step(when)

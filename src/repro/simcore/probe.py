@@ -54,23 +54,16 @@ class Probe:
     def register_locus(self, endpoint: str, locus: str) -> None:
         """Map an endpoint onto its owning locus of control."""
 
-    def on_spans_retained(self, count: int) -> None:
-        """The telemetry layer's held-record count reached a new peak.
+    def on_retained(self, source: str, count: int) -> None:
+        """A retained-object count reached a new peak.
 
-        Reported by a sinked :class:`~repro.simcore.tracing.Tracer`
-        only when ``count`` exceeds every earlier value, so probes can
+        ``source`` names what was counted: ``"spans"`` for the span and
+        mark records held by a sinked
+        :class:`~repro.simcore.tracing.Tracer`, ``"census"`` for the
+        live entries across a :class:`~repro.core.bounded.RetainedCensus`'s
+        registered long-lived collections.  Each source reports only
+        when ``count`` exceeds its every earlier value, so probes can
         store it directly as a high-water mark.
-        """
-
-    def on_retained(self, count: int) -> None:
-        """A heap census's retained-object count reached a new peak.
-
-        Reported by a :class:`~repro.core.bounded.RetainedCensus` only
-        when ``count`` exceeds every earlier census, so probes can
-        store it directly as a high-water mark (the ``mem-*`` analogue
-        of :meth:`on_spans_retained`, one layer down: live *entries*
-        across registered long-lived collections rather than span
-        records).
         """
 
 
@@ -119,13 +112,9 @@ class FanoutProbe(Probe):
         for probe in self.probes:
             probe.register_locus(endpoint, locus)
 
-    def on_spans_retained(self, count: int) -> None:
+    def on_retained(self, source: str, count: int) -> None:
         for probe in self.probes:
-            probe.on_spans_retained(count)
-
-    def on_retained(self, count: int) -> None:
-        for probe in self.probes:
-            probe.on_retained(count)
+            probe.on_retained(source, count)
 
 
 def probe_of(env: "Environment") -> Optional[Probe]:

@@ -22,8 +22,9 @@ every completion and decides whether the tracer keeps the object
 (sampling, aggregation, and incremental export live in
 :mod:`repro.obs.streaming`).  With a sink attached the tracer also
 meters itself — ``obs.spans_{recorded,retained,dropped}`` on its
-metrics registry plus an ``on_spans_retained`` probe notification — so
-telemetry memory is a gated quantity, not a silent cost.
+metrics registry plus an ``on_retained("spans", ...)`` probe
+notification — so telemetry memory is a gated quantity, not a silent
+cost.
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ class Tracer:
     tracer meters itself: ``obs.spans_recorded_total`` /
     ``obs.spans_dropped_total`` counters, an ``obs.spans_retained``
     gauge (whose high-water mark bounds telemetry memory), and an
-    ``on_spans_retained`` notification to the environment's probe.
+    ``on_retained("spans", ...)`` notification to the environment's
+    probe.
     """
 
     def __init__(self, env: "Environment", sink: Optional[SpanSink] = None) -> None:
@@ -358,7 +360,7 @@ class Tracer:
             self.spans_retained_high_water = held
             probe = getattr(self.env, "probe", None)
             if probe is not None:
-                probe.on_spans_retained(held)
+                probe.on_retained("spans", held)
 
     def close(self) -> None:
         """Flush the attached sink, if any (safe to call repeatedly)."""

@@ -264,7 +264,8 @@ class _PeakProbe:
     def __init__(self) -> None:
         self.reported: list[int] = []
 
-    def on_retained(self, count: int) -> None:
+    def on_retained(self, source: str, count: int) -> None:
+        assert source == "census"
         self.reported.append(count)
 
 

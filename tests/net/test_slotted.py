@@ -9,7 +9,6 @@ are preserved.
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.net import Endpoint, LatencyModel, Network, Port
 from repro.simcore import Environment
 
@@ -111,34 +110,6 @@ class TestSlotOrdering:
         # exactly as in per-message mode.
         assert alpha_rx.pending() == 1
         assert beta_rx.pending() == 1
-
-
-class TestSlotWidth:
-    def test_width_quantizes_deadlines_up(self, env):
-        network = Network(env, slotted=True, slot_width=1.0)
-        network.add_host("alpha")
-        network.add_host("beta")
-        sender = _port(network, "alpha", "client")
-        receiver = _port(network, "beta", "server")
-
-        def staggered(env):
-            sender.send(receiver.endpoint, "ping")  # deadline 0.1 -> 1.0
-            yield env.timeout(0.5)
-            sender.send(receiver.endpoint, "ping")  # deadline 0.6 -> 1.0
-            yield receiver.recv()
-            return env.now
-
-        arrival = env.run(env.process(staggered(env)))
-        assert arrival == 1.0
-        assert network.delivery_slots == 1
-        env.run()
-        assert receiver.pending() == 1  # the second message of the slot
-
-    def test_invalid_width_rejected(self, env):
-        with pytest.raises(SimulationError):
-            Network(env, slotted=True, slot_width=0.0)
-        with pytest.raises(SimulationError):
-            Network(env, slotted=True, slot_width=-1.0)
 
 
 class TestSlotDropSemantics:

@@ -113,27 +113,44 @@ class TestMicrobench:
 
 
 class TestQueueTraceIdentity:
-    """kernel_stress replayed under every queue pops the same events."""
+    """The kernel's event traces are pinned, and kernel_scale pins
+    slotted delivery's win over the per-message reference."""
+
+    # Any change to dispatch order or message order moves these
+    # digests; an intended change updates them with the baselines.
+    STRESS_DIGEST = (
+        "df8e09cbb54bb8473d400c940c945621a416d2204abcf75d00b63284f15562bf"
+    )
+    SCALE_SLOTTED_DIGEST = (
+        "94e3935375dc92d2730a6c071097610c85d0e0a0eb98c1799bc0602f4cd89683"
+    )
 
     def test_kernel_stress_trace_identical_under_every_queue(self):
-        from repro.prof.bench import _TraceSignature, _kernel_stress_run
-        from repro.simcore import QUEUE_IMPLS
+        from repro.prof.bench import _kernel_stress_run, _TraceSignature
 
-        digests = {}
-        for impl in sorted(QUEUE_IMPLS):
+        for compact_cancelled in (True, False):
             signature = _TraceSignature()
-            _kernel_stress_run(DEFAULT_SEED, probes=(signature,), queue=impl)
-            digests[impl] = signature.hexdigest()
-        assert len(set(digests.values())) == 1, digests
+            _kernel_stress_run(
+                DEFAULT_SEED,
+                compact_cancelled=compact_cancelled,
+                probes=(signature,),
+            )
+            assert signature.hexdigest() == self.STRESS_DIGEST, compact_cancelled
+
+    def test_kernel_scale_slotted_trace_is_pinned(self):
+        from repro.prof.bench import _kernel_scale_run, _TraceSignature
+
+        signature = _TraceSignature()
+        _kernel_scale_run(DEFAULT_SEED, slotted=True, probes=(signature,))
+        assert signature.hexdigest() == self.SCALE_SLOTTED_DIGEST
 
     def test_kernel_scale_counters_prove_the_win(self):
         profile = SCENARIOS["kernel_scale"].run(DEFAULT_SEED)
         counters = profile.counters
-        # The calendar+slotted configuration processes fewer kernel
-        # events and holds a lower high-water mark than the per-message
-        # heap reference (the scenario itself raises otherwise; the
-        # assertions here pin the counters' presence and direction).
+        # The slotted configuration processes fewer kernel events and
+        # holds a lower high-water mark than the per-message reference
+        # (the scenario itself raises otherwise; the assertions here pin
+        # the counters' presence and direction).
         assert counters["sim.heap_high_water"] < counters["ref.sim.heap_high_water"]
         assert counters["sim.events_scheduled"] < counters["ref.sim.events_scheduled"]
         assert counters["net.delivery_slots"] > 0
-        assert counters["queue.calendar.run_events"] >= counters["queue.calendar.runs"]

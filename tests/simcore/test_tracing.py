@@ -196,14 +196,14 @@ class TestSpanSink:
         peaks = []
 
         class Peak:
-            def on_spans_retained(self, count):
-                peaks.append(count)
+            def on_retained(self, source, count):
+                peaks.append((source, count))
 
         env.probe = Peak()
         tracer = Tracer(env, sink=SpanSink())  # base sink retains all
         tracer.record("x", 0, 1)
         tracer.record("y", 1, 2)
-        assert peaks == [1, 2]
+        assert peaks == [("spans", 1), ("spans", 2)]
         assert tracer.spans_retained_high_water == 2
 
     def test_close_flushes_sink(self, env):
