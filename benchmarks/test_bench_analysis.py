@@ -20,6 +20,7 @@ import ast
 import json
 import pathlib
 
+from repro.analysis.cli import all_checkers
 from repro.analysis.framework import Analyzer, iter_python_files
 from repro.analysis.perf_rules import PerfChecker, hot_roots
 from repro.prof.bench import DEFAULT_SEED, _kernel_stress_run
@@ -34,9 +35,19 @@ KERNEL_PATHS = [
 SNAPSHOT_FORMAT = "repro.analysis.bench/1"
 
 
+def _perf_analyzer() -> Analyzer:
+    """The perf-lint pass as the CLI runs it (``--select 'perf-*'``).
+
+    Every checker is loaded so that suppressions naming other families
+    (the kernel's audited ``mem-*`` noqa comments) are recognised rather
+    than reported as unknown rules.
+    """
+    return Analyzer(all_checkers(), select=["perf-*"])
+
+
 def _lint_op_counts() -> dict:
     """Deterministic cost/yield proxies for the perf-lint pass."""
-    analyzer = Analyzer([PerfChecker()])
+    analyzer = _perf_analyzer()
     files = iter_python_files(KERNEL_PATHS)
     ast_nodes = 0
     hot_files = 0
@@ -50,7 +61,7 @@ def _lint_op_counts() -> dict:
             hot_files += 1
 
     kernel = analyzer.run(KERNEL_PATHS)
-    fixtures = Analyzer([PerfChecker()]).run([str(FIXTURE_DIR)])
+    fixtures = _perf_analyzer().run([str(FIXTURE_DIR)])
     fixture_findings: dict[str, int] = {}
     for finding in fixtures.findings:
         fixture_findings[finding.rule] = fixture_findings.get(finding.rule, 0) + 1

@@ -60,8 +60,8 @@ HOT_PATHS: dict[str, Optional[frozenset[str]]] = {
     # Wait-queue grant loops behind every mailbox and scheduler slot.
     "repro/simcore/resources.py": None,
     # Message delivery: one envelope + one mailbox put per message;
-    # network.py includes the slotted delivery ring, address.py the
-    # endpoint keys hashed on every mailbox/slot probe.
+    # network.py includes the delivery slots, address.py the endpoint
+    # keys hashed on every mailbox/slot probe.
     "repro/net/address.py": None,
     "repro/net/message.py": None,
     "repro/net/network.py": None,

@@ -93,23 +93,24 @@ class LatencyModel:
 class Network:
     """Hosts, mailboxes, and message delivery.
 
-    Delivery comes in two shapes:
+    In-flight messages are grouped into delivery slots keyed by
+    (destination endpoint, deadline): the first message bound for a
+    slot schedules one kernel event, and later sends with the same
+    deadline join it.  A slot delivers its messages in send order, so
+    a burst of same-instant sends to one service (the check-in fan-in
+    of a co-allocation barrier) costs one kernel event instead of one
+    per message.  A slot holding one message is a plain per-message
+    delivery.  Drop rules apply at send time, reachability and binding
+    at delivery time.  Only exact-equal deadlines share a slot, so
+    every message arrives exactly at its send time plus its modeled
+    latency.
 
-    * **per-message** (default) — every ``send()`` schedules its own
-      kernel event, exactly one event per in-flight message.
-    * **slotted** (``slotted=True``) — in-flight messages are grouped
-      into a delivery ring keyed by (destination endpoint, deadline):
-      the first message bound for a slot schedules one kernel event,
-      later sends with the same deadline ride along for free.  At
-      bursty fan-in (many same-instant sends to one service under a
-      deterministic latency model) this collapses N kernel events into
-      one, which is where million-event runs spend their heap budget.
-      Per-message semantics — drop rules at send time, reachability at
-      delivery time, FIFO per (src, dst) — are unchanged, but events
-      that *interleave* with deliveries at the same instant may observe
-      a different ordering than per-message mode, so slotting is opt-in
-      and benchmarks pin which mode they measure.  Only exact-equal
-      deadlines coalesce, so delivery times never change.
+    A slot fires at the place in the event order of the send that
+    opened it, so same-instant interleaving differs from scheduling
+    each message alone: a crash, partition or unbind scheduled for the
+    same instant *after* the slot opened lands after every message in
+    it, even ones sent later; and sends X1, Y, X2 (X1 and X2 sharing a
+    slot) deliver X1, X2, Y.
     """
 
     def __init__(
@@ -117,12 +118,10 @@ class Network:
         env: "Environment",
         latency_model: Optional[LatencyModel] = None,
         metrics: Optional[MetricsRegistry] = None,
-        slotted: bool = False,
     ) -> None:
         self.env = env
         self.latency_model = latency_model or LatencyModel()
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.slotted = bool(slotted)
         self._hosts: set[str] = set()
         self._down: set[str] = set()
         self._mailboxes: dict[Endpoint, Store] = {}
@@ -136,9 +135,9 @@ class Network:
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
-        #: Slotted mode: kernel events scheduled for delivery.  The gap
-        #: between this and ``sent_count`` minus send-time drops is the
-        #: coalescing win.
+        #: Kernel events scheduled for delivery.  The gap between this
+        #: and ``sent_count`` minus send-time drops is the coalescing
+        #: win.
         self.delivery_slots = 0
 
     # -- topology ------------------------------------------------------------
@@ -268,29 +267,18 @@ class Network:
         delay = self.latency_model.latency(
             message.src.host, message.dst.host, message.size_bytes
         )
-        if not self.slotted:
-            deliver = self.env.timeout(delay, value=message)
-            deliver.callbacks.append(self._deliver)
-            return
-
-        now = self.env.now
-        deadline = now + delay
-        key = (message.dst, deadline)
+        key = (message.dst, self.env.now + delay)
         slot = self._slots.get(key)
         if slot is not None:
             slot.append(message)
             return
         self._slots[key] = [message]
         self.delivery_slots += 1
-        fire = self.env.timeout(deadline - now, value=key)
+        fire = self.env.timeout(delay, value=key)
         fire.callbacks.append(self._deliver_slot)
 
-    def _deliver(self, event) -> None:
-        """Per-message delivery: the event's value is the message."""
-        self._deliver_message(event.value)
-
     def _deliver_slot(self, event) -> None:
-        """Slotted delivery: drain one (dst, deadline) slot in send order."""
+        """Drain one (dst, deadline) slot in send order."""
         messages = self._slots.pop(event.value)
         deliver_message = self._deliver_message
         for message in messages:

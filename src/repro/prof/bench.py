@@ -13,10 +13,7 @@ The suite also emits the repo's perf-trajectory snapshot
 (makespan, span counts, op counts, top self-time paths) that future
 revisions can be compared against.
 
-Simulated numbers only — the one exception is the optional
-``--wallclock`` micro-bench mode, which times the simulator's own hot
-paths (event heap, network delivery) on the host clock.  Those numbers
-are machine-dependent by design and never checked against baselines.
+Simulated numbers only: host-clock timing lives in ``hostbench/``.
 """
 
 from __future__ import annotations
@@ -179,6 +176,10 @@ _STRESS_ROUNDS = 60
 _STRESS_CLIENTS = 40
 _STRESS_TRIPS = 100
 
+#: Storm round trips per client in ``blackbox_stress``: enough that the
+#: flight recorder observes over 10⁵ records.
+_BLACKBOX_TRIPS = 120
+
 
 def _kernel_stress_run(
     seed: int,
@@ -186,6 +187,7 @@ def _kernel_stress_run(
     sink=None,
     trace_spans: bool = False,
     probes: Sequence = (),
+    trips: int = _STRESS_TRIPS,
 ):
     """Run the raw-kernel stress workload; returns ``(tracer, counters)``.
 
@@ -196,7 +198,7 @@ def _kernel_stress_run(
       finish their (short) work, and retire the watchdog: the classic
       pattern that floods a lazy-deletion heap with cancelled entries;
     * **message storm** — clients ping an echo server through the
-      simulated network, one round trip at a time.
+      simulated network, one round trip at a time, ``trips`` times.
 
     The workload draws no random numbers, so it is deterministic by
     construction; ``seed`` only stamps the profile metadata.  The
@@ -274,7 +276,7 @@ def _kernel_stress_run(
             if trace_spans
             else None
         )
-        for i in range(_STRESS_TRIPS):
+        for i in range(trips):
             trip_start = env.now
             network.send(Message(
                 src=endpoint, dst=echo_endpoint,
@@ -341,13 +343,11 @@ def _run_telemetry_stress(seed: int) -> Profile:
     )
 
 
-#: kernel_scale workload shape (~2 × 10⁵ events in each configuration):
-#: synchronized client bursts at one ingest service over a slow WAN
-#: link — with latency five wave periods deep, the reference kernel
-#: holds ``5 × clients`` per-message delivery events in flight while
-#: slotted delivery holds five slots — plus timer churn with
-#: far-future watchdogs (heap compaction) and far-beyond-horizon
-#: sentinels.
+#: kernel_scale workload shape (~2 × 10⁵ events): synchronized client
+#: bursts at one ingest service over a slow WAN link — with latency
+#: five wave periods deep, ``5 × clients`` messages are in flight in
+#: five delivery slots — plus timer churn with far-future watchdogs
+#: (heap compaction) and far-beyond-horizon sentinels.
 _SCALE_CLIENTS = 400
 _SCALE_WAVES = 200
 _SCALE_PERIOD = 1.0
@@ -393,8 +393,8 @@ class _TraceSignature(Probe):
         return self._digest.hexdigest()
 
 
-def _kernel_scale_run(seed: int, slotted: bool = False, probes: Sequence = ()):
-    """Run one kernel_scale configuration; returns (env, network, counters, phase_end).
+def _kernel_scale_run(seed: int, probes: Sequence = ()):
+    """Run the kernel_scale workload; returns (env, network, counters, phase_end).
 
     Three concurrent phases, all deterministic (no RNG; ``seed`` only
     stamps metadata):
@@ -403,8 +403,8 @@ def _kernel_scale_run(seed: int, slotted: bool = False, probes: Sequence = ()):
       ingest service at exactly the same instant every
       ``_SCALE_PERIOD`` seconds, for ``_SCALE_WAVES`` waves, across a
       WAN link ``_SCALE_LATENCY / _SCALE_PERIOD`` wave periods deep.
-      The same-deadline fan-in is where slotted delivery collapses N
-      in-flight delivery events into one slot per wave.
+      The same-deadline fan-in coalesces each wave's ``_SCALE_CLIENTS``
+      messages into one delivery slot.
     * **timer churn** — workers repeatedly arm a far-future watchdog
       and retire it after a short round, flooding the heap with
       cancelled entries that compaction must reclaim.
@@ -425,9 +425,7 @@ def _kernel_scale_run(seed: int, slotted: bool = False, probes: Sequence = ()):
         env.probe = FanoutProbe([counters, *probes])
     else:
         env.probe = counters
-    network = Network(
-        env, LatencyModel(base=_SCALE_LATENCY), slotted=slotted
-    )
+    network = Network(env, LatencyModel(base=_SCALE_LATENCY))
     network.add_host("edge")
     network.add_host("core")
     ingest_endpoint = Endpoint("core", "ingest").intern()
@@ -481,42 +479,23 @@ def _kernel_scale_run(seed: int, slotted: bool = False, probes: Sequence = ()):
 
 
 def _run_kernel_scale(seed: int) -> Profile:
-    """ROADMAP item 1 at ~2·10⁵ events: the slotted-delivery gate.
+    """The kernel at ~2·10⁵ events: the delivery-coalescing gate.
 
-    Runs the workload twice —
-
-    1. **reference**: per-message delivery (reported under
-       ``ref.sim.*``);
-    2. **slotted delivery** (the headline configuration, reported
-       under plain ``sim.*``);
-
-    and asserts the headline configuration beats the reference on
-    scheduled events and heap high-water before pinning both sides in
-    the baseline (with ``net.delivery_slots``).
+    Asserts that the burst storm's same-deadline fan-in coalesced —
+    fewer delivery slots than messages sent — before pinning the
+    counters (with ``net.delivery_slots``) in the baseline.
     """
     from repro.simcore.tracing import Tracer
 
-    _, ref_net, ref_counters, _ = _kernel_scale_run(seed)
-    env, net, slotted_counters, phase_end = _kernel_scale_run(seed, slotted=True)
-
-    ref = ref_counters.snapshot()
-    counters = slotted_counters.snapshot()
-    if counters["sim.heap_high_water"] >= ref["sim.heap_high_water"]:
-        raise ReproError(
-            "kernel_scale: slotted delivery did not reduce the heap "
-            f"high-water mark ({counters['sim.heap_high_water']:g} vs "
-            f"reference {ref['sim.heap_high_water']:g})"
-        )
-    if counters["sim.events_scheduled"] >= ref["sim.events_scheduled"]:
-        raise ReproError(
-            "kernel_scale: slotted delivery did not reduce scheduled events "
-            f"({counters['sim.events_scheduled']:g} vs reference "
-            f"{ref['sim.events_scheduled']:g})"
-        )
-    for key, value in sorted(ref.items()):
-        counters[f"ref.{key}"] = value
+    env, net, op_counters, phase_end = _kernel_scale_run(seed)
+    counters = op_counters.snapshot()
     counters["net.delivery_slots"] = float(net.delivery_slots)
-    counters["ref.net.delivery_slots"] = float(ref_net.delivery_slots)
+    if counters["net.delivery_slots"] >= counters["sim.messages_sent"]:
+        raise ReproError(
+            "kernel_scale: same-deadline sends did not coalesce "
+            f"({counters['net.delivery_slots']:g} delivery slots for "
+            f"{counters['sim.messages_sent']:g} messages sent)"
+        )
 
     tracer = Tracer(env)
     root = tracer.record("kernel_scale", 0.0, env.now)
@@ -708,7 +687,8 @@ def _run_memory_stress(seed: int) -> Profile:
 def _run_blackbox_stress(seed: int) -> Profile:
     """The flight recorder's proof gate: observation-only, byte-stable.
 
-    Runs the kernel stress workload three times —
+    Runs the kernel stress workload, with ``_BLACKBOX_TRIPS`` storm
+    round trips per client, three times —
 
     1. **bare**: no recorder, trace digest only;
     2. **recorded** (the headline): a :class:`~repro.obs.flightrec.
@@ -732,7 +712,7 @@ def _run_blackbox_stress(seed: int) -> Profile:
         if (
             op == "deliver"
             and message.kind == "pong"
-            and message.payload == _STRESS_TRIPS - 1
+            and message.payload == _BLACKBOX_TRIPS - 1
         ):
             return f"storm.final_pong:{message.dst}"
         return None
@@ -743,12 +723,15 @@ def _run_blackbox_stress(seed: int) -> Profile:
         )
         sig = _TraceSignature()
         tracer, counters = _kernel_stress_run(
-            seed, sink=recorder, trace_spans=True, probes=(recorder, sig)
+            seed, sink=recorder, trace_spans=True, probes=(recorder, sig),
+            trips=_BLACKBOX_TRIPS,
         )
         return recorder, sig, tracer, counters
 
     bare_sig = _TraceSignature()
-    _kernel_stress_run(seed, trace_spans=True, probes=(bare_sig,))
+    _kernel_stress_run(
+        seed, trace_spans=True, probes=(bare_sig,), trips=_BLACKBOX_TRIPS
+    )
     recorder, sig, tracer, counters = recorded_run()
     recorder2, _sig2, _tracer2, _counters2 = recorded_run()
 
@@ -817,8 +800,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "kernel_scale",
-            "burst storm + timer churn at ~2e5 events, per-message vs "
-            "slotted delivery: scheduled-events and high-water proof gate",
+            "burst storm + timer churn at ~2e5 events: delivery-coalescing "
+            "proof gate",
             _run_kernel_scale,
         ),
         Scenario(
@@ -937,62 +920,3 @@ def write_snapshot(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(snapshot(results, seed), sort_keys=True, indent=2) + "\n")
     return path
-
-
-# -- wall-clock micro-benchmarks ---------------------------------------------
-
-# The simulator's own hot paths, timed on the host clock.  Explicitly
-# machine-dependent: numbers are informational, never gated or written
-# into baselines, and the wall-clock reads are confined to this section.
-
-
-def _bench_event_heap(ops: int) -> float:
-    """Seconds to schedule and drain ``ops`` timeouts through the kernel."""
-    import time
-
-    from repro.simcore.environment import Environment
-
-    env = Environment()
-    start = time.perf_counter()  # repro: noqa det-wallclock
-    for i in range(ops):
-        env.timeout((i % 97) * 1e-4)
-    env.run()
-    return time.perf_counter() - start  # repro: noqa det-wallclock
-
-
-def _bench_network_delivery(ops: int) -> float:
-    """Seconds to deliver ``ops`` loopback messages through the network."""
-    import time
-
-    from repro.net.address import Endpoint
-    from repro.net.message import Message
-    from repro.net.network import Network
-    from repro.simcore.environment import Environment
-
-    env = Environment()
-    network = Network(env)
-    network.add_host("a")
-    src = Endpoint("a", "bench-src")
-    dst = Endpoint("a", "bench-dst")
-    network.bind(dst)
-    start = time.perf_counter()  # repro: noqa det-wallclock
-    for i in range(ops):
-        network.send(Message(src=src, dst=dst, kind="bench", payload=i))
-    env.run()
-    return time.perf_counter() - start  # repro: noqa det-wallclock
-
-
-def run_microbench(ops: int = 20_000) -> dict[str, dict[str, float]]:
-    """Time the simulator hot paths; returns {bench: {seconds, ops_per_sec}}."""
-    out: dict[str, dict[str, float]] = {}
-    for name, fn in (
-        ("event_heap", _bench_event_heap),
-        ("network_delivery", _bench_network_delivery),
-    ):
-        elapsed = fn(ops)
-        out[name] = {
-            "ops": float(ops),
-            "seconds": elapsed,
-            "ops_per_sec": ops / elapsed if elapsed > 0 else float("inf"),
-        }
-    return out

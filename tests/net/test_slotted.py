@@ -1,16 +1,18 @@
 """Unit tests for slotted network delivery and endpoint interning.
 
-Slotted mode trades per-message kernel events for one event per
-``(destination, deadline)`` slot: bursts aimed at one mailbox coalesce
-into a single ``Timeout`` while delivery times, FIFO order per slot,
-and drop semantics (evaluated at delivery time, like per-message mode)
-are preserved.
+The network schedules one kernel event per ``(destination, deadline)``
+slot: bursts aimed at one mailbox coalesce into a single ``Timeout``,
+while each message still arrives at its send time plus its latency, in
+send order within a slot.  Drop rules apply at send time; reachability
+and binding are checked at delivery time.
 """
 
+import numpy as np
 import pytest
 
 from repro.net import Endpoint, LatencyModel, Network, Port
-from repro.simcore import Environment
+from repro.net.network import DEFAULT_LATENCY
+from repro.simcore import Environment, Probe
 
 
 @pytest.fixture
@@ -20,7 +22,7 @@ def env():
 
 @pytest.fixture
 def net(env):
-    network = Network(env, slotted=True)
+    network = Network(env)
     network.add_host("alpha")
     network.add_host("beta")
     return network
@@ -67,26 +69,45 @@ class TestSlotCoalescing:
         assert receiver.pending() == 6
         assert net.delivery_slots == 3
 
-    def test_delivery_time_matches_per_message_mode(self, env):
-        latency = LatencyModel(base=0.25)
-        plain = Network(Environment(), latency)
-        slotted = Network(env, latency, slotted=True)
-        arrivals = {}
-        for name, network in (("plain", plain), ("slotted", slotted)):
-            network.add_host("alpha")
-            network.add_host("beta")
-            sender = _port(network, "alpha", "client")
-            receiver = _port(network, "beta", "server")
+    def test_delivery_time_is_send_time_plus_latency(self, env):
+        net = Network(env, LatencyModel(base=0.25))
+        net.add_host("alpha")
+        net.add_host("beta")
+        sender = _port(net, "alpha", "client")
+        receiver = _port(net, "beta", "server")
+
+        def client(env):
+            yield env.timeout(1.5)
             sender.send(receiver.endpoint, "ping")
 
-            def waiter(env, receiver=receiver):
-                yield receiver.recv()
-                return env.now
+        env.process(client(env))
+        env.run()
+        (message,) = receiver.mailbox.items
+        assert (message.sent_at, message.delivered_at) == (1.5, 1.5 + 0.25)
 
-            arrivals[name] = network.env.run(
-                network.env.process(waiter(network.env))
-            )
-        assert arrivals["plain"] == arrivals["slotted"] == 0.25
+    def test_jittered_deadlines_never_share_a_slot(self, env):
+        seed = 7
+        latency = LatencyModel(
+            base=0.25, jitter_cv=0.5, rng=np.random.default_rng(seed)
+        )
+        net = Network(env, latency)
+        net.add_host("alpha")
+        net.add_host("beta")
+        sender = _port(net, "alpha", "client")
+        receiver = _port(net, "beta", "server")
+        for i in range(20):
+            sender.send(receiver.endpoint, "ping", payload=i)
+        # Every draw is a distinct deadline, so nothing coalesces.
+        assert net.delivery_slots == 20
+        # Replay the model's draws: each message lands at its own delay.
+        replay = LatencyModel(
+            base=0.25, jitter_cv=0.5, rng=np.random.default_rng(seed)
+        )
+        expected = {i: replay.latency("alpha", "beta") for i in range(20)}
+        assert len(set(expected.values())) == 20
+        env.run()
+        arrivals = [(m.payload, m.delivered_at) for m in receiver.mailbox.items]
+        assert arrivals == sorted(expected.items(), key=lambda item: item[1])
 
 
 class TestSlotOrdering:
@@ -106,8 +127,7 @@ class TestSlotOrdering:
         alpha_tx.send(beta_rx.endpoint, "remote")
         alpha_tx.send(alpha_rx.endpoint, "local")
         env.run()
-        # Loopback latency is shorter, so the local message lands first
-        # exactly as in per-message mode.
+        # Loopback latency is shorter, so the local message lands first.
         assert alpha_rx.pending() == 1
         assert beta_rx.pending() == 1
 
@@ -141,6 +161,60 @@ class TestSlotDropSemantics:
         assert [m.kind for m in receiver.mailbox.items] == ["safe"]
         # The dropped message never opened a slot.
         assert net.delivery_slots == 1
+
+
+class TestSameInstantInterleaving:
+    """A slot fires where its opening send put it in the event order."""
+
+    @pytest.mark.parametrize("fault", ["crash", "unbind"])
+    def test_fault_armed_after_the_slot_opens_lands_after_it(
+        self, env, net, fault
+    ):
+        sender = _port(net, "alpha", "client")
+        receiver = _port(net, "beta", "server")
+        sender.send(receiver.endpoint, "ping", payload="A")
+        # Same deadline as the slot, scheduled after it opened.
+        strike = env.timeout(DEFAULT_LATENCY)
+        if fault == "crash":
+            strike.callbacks.append(lambda _: net.crash_host("beta"))
+        else:
+            strike.callbacks.append(lambda _: net.unbind(receiver.endpoint))
+        sender.send(receiver.endpoint, "ping", payload="C")
+        env.run()
+        # C joined A's slot, so it is delivered before the fault lands.
+        assert [m.payload for m in receiver.mailbox.items] == ["A", "C"]
+        assert net.dropped_count == 0
+
+    def test_fault_armed_before_the_slot_opens_drops_it_whole(self, env, net):
+        sender = _port(net, "alpha", "client")
+        receiver = _port(net, "beta", "server")
+        strike = env.timeout(DEFAULT_LATENCY)
+        strike.callbacks.append(lambda _: net.crash_host("beta"))
+        sender.send(receiver.endpoint, "ping", payload="A")
+        sender.send(receiver.endpoint, "ping", payload="C")
+        env.run()
+        assert receiver.pending() == 0
+        assert net.dropped_count == 2
+
+    def test_slots_deliver_in_opening_order(self, env, net):
+        sender = _port(net, "alpha", "client")
+        rx_x = _port(net, "beta", "x")
+        rx_y = _port(net, "beta", "y")
+        delivered = []
+        env.probe = _DeliveryLog(delivered)
+        sender.send(rx_x.endpoint, "ping", payload="X1")
+        sender.send(rx_y.endpoint, "ping", payload="Y")
+        sender.send(rx_x.endpoint, "ping", payload="X2")
+        env.run()
+        assert delivered == ["X1", "X2", "Y"]
+
+
+class _DeliveryLog(Probe):
+    def __init__(self, log):
+        self.log = log
+
+    def on_deliver(self, message):
+        self.log.append(message.payload)
 
 
 class TestEndpointInterning:

@@ -9,12 +9,25 @@ from repro.prof.bench import (
     DEFAULT_SEED,
     SCENARIOS,
     run_bench,
-    run_microbench,
     select_scenarios,
     snapshot,
     update_baselines,
     write_snapshot,
+    _kernel_scale_run,
+    _kernel_stress_run,
+    _TraceSignature,
 )
+
+
+class _MessageOrderSignature(_TraceSignature):
+    """Digest of the network's send/deliver/drop sequence alone.
+
+    Kernel step timestamps are left out, so the digest pins message
+    order independently of how many kernel events carry the messages.
+    """
+
+    def on_step(self, now: float) -> None:
+        pass
 
 
 class TestFig3Acceptance:
@@ -102,32 +115,29 @@ class TestHarness:
         json.loads(a.read_text())
 
 
-class TestMicrobench:
-    def test_microbench_reports_positive_rates(self):
-        out = run_microbench(ops=200)
-        assert set(out) == {"event_heap", "network_delivery"}
-        for entry in out.values():
-            assert entry["ops"] == 200.0
-            assert entry["seconds"] >= 0.0
-            assert entry["ops_per_sec"] > 0
-
-
 class TestQueueTraceIdentity:
-    """The kernel's event traces are pinned, and kernel_scale pins
-    slotted delivery's win over the per-message reference."""
+    """The kernel's event traces and the network's message order are
+    pinned, and kernel_scale proves same-deadline coalescing."""
 
     # Any change to dispatch order or message order moves these
     # digests; an intended change updates them with the baselines.
     STRESS_DIGEST = (
-        "df8e09cbb54bb8473d400c940c945621a416d2204abcf75d00b63284f15562bf"
+        "4a44452eabff1f492c75797da8e20ee0bb08908c4d584478c1ec8181a9739564"
     )
     SCALE_SLOTTED_DIGEST = (
         "94e3935375dc92d2730a6c071097610c85d0e0a0eb98c1799bc0602f4cd89683"
     )
+    # Send/deliver/drop order recorded under one kernel event per
+    # message; coalesced delivery must move the same messages in the
+    # same order.
+    STRESS_MESSAGE_DIGEST = (
+        "62adde35ca81aa0c4349438572ade42d40ef40f0afa21379c4db2ebb4ef827aa"
+    )
+    SCALE_MESSAGE_DIGEST = (
+        "04a2347a1f9d04011773006dd37ed17c8953c8e694e87db127f722b54fc951e7"
+    )
 
     def test_kernel_stress_trace_identical_under_every_queue(self):
-        from repro.prof.bench import _kernel_stress_run, _TraceSignature
-
         for compact_cancelled in (True, False):
             signature = _TraceSignature()
             _kernel_stress_run(
@@ -138,19 +148,25 @@ class TestQueueTraceIdentity:
             assert signature.hexdigest() == self.STRESS_DIGEST, compact_cancelled
 
     def test_kernel_scale_slotted_trace_is_pinned(self):
-        from repro.prof.bench import _kernel_scale_run, _TraceSignature
-
         signature = _TraceSignature()
-        _kernel_scale_run(DEFAULT_SEED, slotted=True, probes=(signature,))
+        _kernel_scale_run(DEFAULT_SEED, probes=(signature,))
         assert signature.hexdigest() == self.SCALE_SLOTTED_DIGEST
+
+    def test_kernel_stress_message_order_is_pinned(self):
+        signature = _MessageOrderSignature()
+        _kernel_stress_run(DEFAULT_SEED, probes=(signature,))
+        assert signature.hexdigest() == self.STRESS_MESSAGE_DIGEST
+
+    def test_kernel_scale_message_order_is_pinned(self):
+        signature = _MessageOrderSignature()
+        _kernel_scale_run(DEFAULT_SEED, probes=(signature,))
+        assert signature.hexdigest() == self.SCALE_MESSAGE_DIGEST
 
     def test_kernel_scale_counters_prove_the_win(self):
         profile = SCENARIOS["kernel_scale"].run(DEFAULT_SEED)
         counters = profile.counters
-        # The slotted configuration processes fewer kernel events and
-        # holds a lower high-water mark than the per-message reference
-        # (the scenario itself raises otherwise; the assertions here pin
-        # the counters' presence and direction).
-        assert counters["sim.heap_high_water"] < counters["ref.sim.heap_high_water"]
-        assert counters["sim.events_scheduled"] < counters["ref.sim.events_scheduled"]
-        assert counters["net.delivery_slots"] > 0
+        # Same-deadline fan-in coalesces: far fewer delivery slots than
+        # messages (the scenario itself raises otherwise; the assertions
+        # here pin the counters' presence and direction).
+        assert 0 < counters["net.delivery_slots"] < counters["sim.messages_sent"]
+        assert counters["sim.heap_high_water"] <= 2000

@@ -158,9 +158,8 @@ class TestObserverSeam:
 
 
 class TestKernelKnobs:
-    """The builder uses the one heap kernel and per-message delivery."""
+    """The builder uses the one heap kernel."""
 
     def test_default_queue_is_the_heap(self):
         grid = GridBuilder().add_machine("m", nodes=4).build()
         assert isinstance(grid.env._heap, list)
-        assert grid.network.slotted is False
