@@ -16,8 +16,9 @@ aggregation) — and asserts the properties the telemetry layer promises:
    byte-identical to the end-of-run ``export_jsonl`` over the same
    (sampled) span set.
 4. **Complete aggregates** — the streamed per-path/per-tenant
-   aggregate equals the post-hoc aggregation of the full dump, even
-   though the exporter only saw 1 in 16 traces.
+   aggregate (counts, histograms, exclusive time) equals the replay of
+   the full dump through a fresh aggregator, even though the exporter
+   only saw 1 in 16 traces.
 
 Exit status 0 when all four hold; 1 otherwise.  Artifacts land in
 ``results/`` (the streamed JSONL and the aggregate snapshot).
@@ -39,7 +40,7 @@ from repro.obs.streaming import (  # noqa: E402
     JsonlStreamSink,
     TelemetryPipeline,
     TraceSampler,
-    aggregate_trace,
+    replay,
 )
 from repro.prof.bench import DEFAULT_SEED, _kernel_stress_run  # noqa: E402
 from repro.simcore.probe import Probe  # noqa: E402
@@ -131,11 +132,12 @@ def main() -> int:
             f"{len(kept.spans)}-span sampled set"
         )
 
-    # 4. Streamed aggregates must equal the post-hoc ones.
+    # 4. Streamed aggregates (exclusive time included) must equal the
+    # replayed ones.
     streamed = aggregator.snapshot()
-    posthoc = aggregate_trace(tracer_a).snapshot()
-    if json.dumps(streamed, sort_keys=True) != json.dumps(posthoc, sort_keys=True):
-        failures.append("streamed aggregate differs from post-hoc aggregation")
+    replayed = replay(tracer_a.spans, tracer_a.marks).snapshot()
+    if json.dumps(streamed, sort_keys=True) != json.dumps(replayed, sort_keys=True):
+        failures.append("streamed aggregate differs from the replayed one")
     aggregator.write(out_dir / "telemetry_aggregate.json")
 
     for failure in failures:

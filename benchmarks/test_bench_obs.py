@@ -3,16 +3,18 @@
 Runs an instrumented three-subjob DUROC request, then derives the
 paper's two observability artifacts straight from the trace: the Fig. 5
 style timeline (as an ASCII Gantt over the causal spans) and a Fig. 3
-style per-phase cost summary (p50/p95/max per span name).  Shape
-claims: the trace is one connected tree, the critical path runs from
-the request root to a barrier release, and the per-phase totals
-reconstruct the request makespan.
+style per-phase cost summary (the span aggregator's per-name rollup:
+count, total, exclusive, p50/p95, max).  Shape claims: the trace is
+one connected tree, the critical path runs from the request root to a
+barrier release, and the per-phase totals reconstruct the request
+makespan.
 """
 
 import pytest
 
-from repro.obs.query import build_forest, critical_path, parentage, summarize
+from repro.obs.query import build_forest, critical_path, parentage
 from repro.obs.render import render_gantt, render_summary, render_tree
+from repro.obs.streaming import replay, rollup
 from tests.obs.test_integration import run_coallocation
 
 
@@ -28,7 +30,7 @@ def test_bench_obs(benchmark, publish):
         "obs_timeline",
         render_gantt(spans, grid.tracer.marks, title="Trace timeline (Fig. 5)"),
     )
-    publish("obs_summary", render_summary(summarize(spans)))
+    publish("obs_summary", render_summary(rollup(replay(spans).snapshot())))
 
     # One connected, fully-linked tree.
     roots = build_forest(spans)

@@ -52,8 +52,8 @@ from repro.obs.streaming import (
     JsonlStreamSink,
     TelemetryPipeline,
     TraceSampler,
-    aggregate_trace,
     load_aggregate,
+    replay,
 )
 
 __all__ = [
@@ -81,12 +81,12 @@ __all__ = [
     "TraceSampler",
     "Trigger",
     "WindowedRate",
-    "aggregate_trace",
     "diff_dumps",
     "dump_digest",
     "dump_json",
     "load_aggregate",
     "load_dump",
     "merge_timeline",
+    "replay",
     "write_dump",
 ]

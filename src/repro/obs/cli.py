@@ -35,16 +35,10 @@ from repro.obs.blackbox import (
 )
 from repro.obs.export import TraceDump, load_jsonl, span_record
 from repro.obs.metrics import histogram_summary
-from repro.obs.query import (
-    critical_path,
-    parentage,
-    stats_record,
-    summarize,
-    trace_ids,
-    tree,
-)
+from repro.obs.query import critical_path, parentage, trace_ids, tree
 from repro.obs.render import (
     DEFAULT_MAX_ROWS,
+    NAME_QUANTILES,
     render_critical_path,
     render_gantt,
     render_metrics,
@@ -52,7 +46,7 @@ from repro.obs.render import (
     render_summary,
     render_tree,
 )
-from repro.obs.streaming import AGGREGATE_FORMAT, aggregate_trace
+from repro.obs.streaming import AGGREGATE_FORMAT, load_aggregate, replay, rollup
 
 #: Minimum fraction of spans whose parent chain must reach a root for a
 #: trace to pass ``--validate`` (the repo's acceptance bar).
@@ -103,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     summary = sub.add_parser(
-        "summary", help="per-span-name duration statistics (p50/p95/max)"
+        "summary",
+        help="per-span-name duration statistics (total/exclusive/p50/p95/max)",
     )
     summary.add_argument("trace", help="JSONL trace export")
     summary.add_argument(
@@ -303,7 +298,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     # summary
-    stats = summarize(dump.spans)
+    names = rollup(replay(dump.spans).snapshot())
     linked, total = parentage(dump.spans)
     coverage = linked / total if total else 0.0
     if args.format == "json":
@@ -313,15 +308,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "spans": total,
                     "linked": linked,
                     "parentage": coverage,
-                    "names": [stats_record(s) for s in stats],
+                    "names": [
+                        {
+                            "name": r["name"],
+                            "count": r["count"],
+                            "total": r["sum"],
+                            "exclusive": r["exclusive"],
+                            **histogram_summary(r, NAME_QUANTILES),
+                            "max": r["max"],
+                        }
+                        for r in names
+                    ],
                 },
                 sort_keys=True,
             )
         )
     else:
-        _emit(render_summary(stats))
+        _emit(render_summary(names))
         _emit(f"parentage: {linked}/{total} spans linked ({coverage:.1%})")
-    if not stats:
+    if not names:
         return 1
     if args.validate and coverage < PARENTAGE_BAR:
         print(
@@ -335,7 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _load_aggregate_source(
     parser: argparse.ArgumentParser, source: str
 ) -> dict[str, Any]:
-    """An aggregate snapshot — loaded directly, or folded from a dump.
+    """An aggregate snapshot — loaded directly, or replayed from a dump.
 
     The ``report`` command accepts both inputs precisely so the two
     can be diffed: the streamed snapshot of a run and the post-hoc
@@ -348,14 +353,13 @@ def _load_aggregate_source(
         head = fh.read(1024).lstrip()
     if head.startswith("{") and '"record"' not in head.split("\n", 1)[0]:
         try:
-            data = json.loads(path.read_text())
+            return load_aggregate(path)
         except json.JSONDecodeError as exc:
             parser.error(f"cannot parse {source}: {exc}")
-        if not isinstance(data, dict) or data.get("format") != AGGREGATE_FORMAT:
-            parser.error(f"{source}: not a {AGGREGATE_FORMAT} snapshot")
-        return data
+        except ValueError as exc:
+            parser.error(str(exc))
     dump = _load(parser, source)
-    return aggregate_trace(dump).snapshot()
+    return replay(dump.spans, dump.marks).snapshot()
 
 
 def _aggregate_with_summaries(aggregate: dict[str, Any]) -> dict[str, Any]:

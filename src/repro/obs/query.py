@@ -1,4 +1,4 @@
-"""Trace queries: tree assembly, validation, critical path, summaries.
+"""Trace queries: tree assembly, validation, critical path.
 
 A trace is just a list of :class:`~repro.simcore.tracing.Span` — these
 functions reconstruct the causal forest from the ``trace_id`` /
@@ -8,9 +8,8 @@ experiments (and the ``python -m repro.obs`` CLI) ask of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.simcore.tracing import Span
 
@@ -132,54 +131,3 @@ def critical_path(root: SpanNode) -> list[SpanNode]:
         node = max(node.children, key=lambda n: (n.span.end, _sort_key(n.span)))
         path.append(node)
     return path
-
-
-@dataclass(frozen=True)
-class NameStats:
-    """Duration statistics for one span name."""
-
-    name: str
-    count: int
-    total: float
-    p50: float
-    p95: float
-    max: float
-
-
-def _percentile(durations: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list."""
-    rank = max(1, math.ceil(len(durations) * q))
-    return durations[rank - 1]
-
-
-def summarize(spans: Sequence[Span]) -> list[NameStats]:
-    """Per-name duration statistics, sorted by total time descending."""
-    by_name: dict[str, list[float]] = {}
-    for span in spans:
-        by_name.setdefault(span.name, []).append(span.duration)
-    stats = []
-    for name, durations in by_name.items():
-        durations.sort()
-        stats.append(
-            NameStats(
-                name=name,
-                count=len(durations),
-                total=sum(durations),
-                p50=_percentile(durations, 0.50),
-                p95=_percentile(durations, 0.95),
-                max=durations[-1],
-            )
-        )
-    stats.sort(key=lambda s: (-s.total, s.name))
-    return stats
-
-
-def stats_record(stats: NameStats) -> dict[str, Any]:
-    return {
-        "name": stats.name,
-        "count": stats.count,
-        "total": stats.total,
-        "p50": stats.p50,
-        "p95": stats.p95,
-        "max": stats.max,
-    }

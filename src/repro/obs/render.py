@@ -10,11 +10,15 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.obs.metrics import histogram_summary
-from repro.obs.query import NameStats, SpanNode, critical_path
+from repro.obs.query import SpanNode, critical_path
 from repro.simcore.tracing import Mark, Span
 
 #: Character used for span bars in the Gantt chart.
 BAR = "#"
+
+#: Quantiles in the ``summary`` table (bucket nearest-rank, as in
+#: ``report`` and ``metrics``).
+NAME_QUANTILES: tuple[float, ...] = (0.5, 0.95)
 
 #: Row budget above which :func:`render_gantt` collapses same-name
 #: spans into aggregate lanes instead of drawing one lane per span.
@@ -177,20 +181,27 @@ def render_critical_path(root: SpanNode) -> str:
     return "\n".join(lines)
 
 
-def render_summary(stats: Sequence[NameStats]) -> str:
-    """Fixed-width per-name duration table (p50/p95/max in seconds)."""
-    if not stats:
+def render_summary(names: Sequence[dict[str, Any]]) -> str:
+    """Fixed-width per-name duration table, in seconds.
+
+    Consumes :func:`repro.obs.streaming.rollup` records: count, total
+    and exclusive time, bucket p50/p95 and the exact max.
+    """
+    if not names:
         return "(no spans)"
-    name_width = max(4, max(len(s.name) for s in stats))
+    name_width = max(4, max(len(r["name"]) for r in names))
     header = (
         f"{'span':<{name_width}} {'count':>6} {'total':>12} "
-        f"{'p50':>12} {'p95':>12} {'max':>12}"
+        f"{'exclusive':>12} {'p50':>12} {'p95':>12} {'max':>12}"
     )
     lines = [header, "-" * len(header)]
-    for s in stats:
+    for record in names:
+        summary = histogram_summary(record, NAME_QUANTILES)
         lines.append(
-            f"{s.name:<{name_width}} {s.count:>6} {_fmt(s.total):>12} "
-            f"{_fmt(s.p50):>12} {_fmt(s.p95):>12} {_fmt(s.max):>12}"
+            f"{record['name']:<{name_width}} {record['count']:>6} "
+            f"{_fmt(record['sum']):>12} {_fmt(record['exclusive']):>12} "
+            f"{_fmt(summary['p50']):>12} {_fmt(summary['p95']):>12} "
+            f"{_fmt(record['max']):>12}"
         )
     return "\n".join(lines)
 
@@ -198,9 +209,9 @@ def render_summary(stats: Sequence[NameStats]) -> str:
 def render_report(aggregate: dict[str, Any], top: int = 20) -> str:
     """A streamed-aggregate report: top paths, then per-label sections.
 
-    Consumes the ``repro.obs.aggregate/1`` snapshot written by
+    Consumes the ``repro.obs.aggregate/2`` snapshot written by
     :class:`repro.obs.streaming.AggregatingSink` — the same numbers
-    whether the aggregate was folded live or rebuilt post-hoc from a
+    whether the aggregate was folded live or replayed from a
     full dump, which is exactly what the byte-identity tests assert.
     """
     lines = [

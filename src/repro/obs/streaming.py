@@ -2,7 +2,7 @@
 
 At paper scale a run's whole trace fits in memory and the end-of-run
 exporters in :mod:`repro.obs.export` are the right tool.  At the
-10⁵–10⁶-event scale ROADMAP item 1 targets, retaining every
+10⁵–10⁶-event scale of the stress scenarios, retaining every
 :class:`~repro.simcore.tracing.Span` makes the observability layer the
 dominant memory cost.  This module keeps the repo's signature property
 — byte-identical output across runs — while folding, sampling, or
@@ -14,13 +14,15 @@ spilling spans *as they complete*, through the
   ``hash()``, which varies per process), so whole causal trees are
   kept or dropped atomically and the kept set is identical across
   runs, machines, and interpreter invocations.
-* :class:`AggregatingSink` — folds every completed span into
-  path-keyed statistics (count, duration histograms) and per-label —
-  e.g. per-tenant — latency/goodput series, reusing
-  :class:`~repro.obs.metrics.Histogram` instruments and retaining no
-  span objects.  :func:`aggregate_trace` builds the identical
-  aggregate post-hoc from a full dump, which is how the ``report``
-  CLI's streamed and retained answers are cross-checked.
+* :class:`AggregatingSink` — the one place spans become statistics:
+  it folds every completed span into path-keyed count, duration
+  histogram and exclusive (self) time, plus per-label — e.g.
+  per-tenant — latency/goodput series, retaining no span objects.
+  :func:`replay` feeds a retained trace through a fresh sink in the
+  order a live tracer emits it, so post-hoc and streamed aggregates
+  are the same bytes; :class:`repro.prof.profile.Profile`, ``obs
+  summary`` (:func:`rollup`) and ``obs report`` are views of its
+  snapshot.
 * :class:`JsonlStreamSink` — an incremental exporter: completed
   records pass through a bounded in-memory buffer, overflowing to
   sorted spill runs on disk; ``close()`` merges the runs into a file
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_left
 import json
 import sys
 from pathlib import Path
@@ -52,25 +55,24 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.obs.export import (
     FORMAT_VERSION,
-    TraceSource,
     dumps_record,
     mark_record,
     span_record,
 )
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.query import SpanNode, build_forest
 from repro.simcore.tracing import Mark, Span, SpanSink
 
 #: Aggregate snapshot format identifier (the ``report`` CLI's input).
-AGGREGATE_FORMAT = "repro.obs.aggregate/1"
+AGGREGATE_FORMAT = "repro.obs.aggregate/2"
 
-#: Decimal places kept for duration sums in aggregate snapshots — the
-#: same 1 ns resolution :mod:`repro.prof` uses, so fold order (streamed
-#: completion order vs. post-hoc forest order) cannot leak into bytes.
+#: Decimal places kept for duration sums and exclusive times in
+#: aggregate snapshots — 1 ns resolution, so fold order (live
+#: completion order vs. replay order) cannot leak into bytes.
 ROUND = 9
 
-#: Span attribute keys aggregated as label dimensions by default.
-DEFAULT_LABEL_KEYS: tuple[str, ...] = ("tenant", "job")
+#: Span attribute keys aggregated as label dimensions.
+LABEL_KEYS: tuple[str, ...] = ("tenant", "job")
 
 #: Default bound on records buffered by the incremental exporter.
 DEFAULT_BUFFER_SIZE = 1024
@@ -127,47 +129,86 @@ class TraceSampler:
         return {tid for tid in trace_ids if tid is not None and self.keep(tid)}
 
 
+class _SpanEntry:
+    """One announced span: its path, its parent's entry, and once it
+    closes its window; ``union`` merges its closed children's intervals.
+    """
+
+    __slots__ = ("path", "parent", "start", "end", "union")
+
+    def __init__(self, path: str, parent: Optional["_SpanEntry"]) -> None:
+        self.path = path
+        self.parent = parent
+        self.start = 0.0
+        self.end: Optional[float] = None
+        self.union: list[tuple[float, float]] = []
+
+
+def _cover(union: list[tuple[float, float]], lo: float, hi: float) -> float:
+    """Merge ``[lo, hi]`` into the sorted disjoint ``union``; return the growth."""
+    if hi <= lo:
+        return 0.0
+    i = bisect_left(union, lo, key=lambda interval: interval[0])
+    if i and union[i - 1][1] >= lo:
+        i -= 1
+    j = i
+    removed = 0.0
+    while j < len(union) and union[j][0] <= hi:
+        start, end = union[j]
+        removed += end - start
+        lo, hi = min(lo, start), max(hi, end)
+        j += 1
+    union[i:j] = [(lo, hi)]
+    return (hi - lo) - removed
+
+
+def _widen(window: Optional[list[float]], span: Span) -> list[float]:
+    """``window`` (or a new one) stretched to cover ``span``."""
+    if window is None:
+        return [span.start, span.end]
+    window[0] = min(window[0], span.start)
+    window[1] = max(window[1], span.end)
+    return window
+
+
 class AggregatingSink(SpanSink):
     """Folds completed spans into path- and label-keyed statistics.
 
     No span objects are retained: each completion lands in a
     fixed-bucket :class:`~repro.obs.metrics.Histogram` series keyed by
     the span's *path* (the ``;``-joined root-to-span name chain, the
-    same convention as :mod:`repro.prof`) and, for every configured
-    label key present in its attrs, a per-label-value series plus an
-    activity window for goodput.  Paths are resolved at span *open*
-    time — the tracer announces ids through
+    same convention as :mod:`repro.prof`) and, for every label key in
+    :data:`LABEL_KEYS` present in its attrs, a per-label-value series
+    plus an activity window for goodput.  Paths are resolved at span
+    *open* time — the tracer announces ids through
     :meth:`~repro.simcore.tracing.SpanSink.on_span_start`, so a
-    child's chain is known even while its ancestors are still open —
-    and the per-trace id→path index holds one interned string per
-    span, not the span itself.
+    child's chain is known even while its ancestors are still open.
+
+    Each path also sums **exclusive** (self) time: duration minus the
+    union of the children's intervals clipped to the span's window, so
+    concurrent children are never double-counted.  A span charges
+    ``duration − covered`` when it closes; a child that closes after
+    its parent (``Tracer.record`` is retroactive) then subtracts only
+    the part of the parent's window it newly covers.
     """
 
-    def __init__(
-        self,
-        label_keys: Sequence[str] = DEFAULT_LABEL_KEYS,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self) -> None:
         from repro.core.bounded import BoundedDict
 
-        self.label_keys = tuple(label_keys)
-        #: Per-trace id→path index, LRU-bounded over trace ids.  The
-        #: bound far exceeds concurrently-open traces; spans of a trace
-        #: old enough to be evicted fold under their bare name.
-        self._paths: "BoundedDict[str, dict[int, str]]" = BoundedDict(
+        #: Per-trace span-id→entry index, LRU-bounded over trace ids.
+        #: The bound far exceeds concurrently-open traces; spans of a
+        #: trace old enough to be evicted fold under their bare name.
+        self._paths: "BoundedDict[str, dict[int, _SpanEntry]]" = BoundedDict(
             TRACE_CACHE_MAX
         )
-        self._durations = Histogram(
-            "obs.path_duration", "span durations by path", buckets
-        )
+        self._durations = Histogram("obs.path_duration", "span durations by path")
+        self._exclusive: dict[str, float] = {}
         self._labels: dict[str, Histogram] = {
-            key: Histogram(
-                f"obs.{key}_duration", f"span durations by {key}", buckets
-            )
-            for key in self.label_keys
+            key: Histogram(f"obs.{key}_duration", f"span durations by {key}")
+            for key in LABEL_KEYS
         }
         self._label_windows: dict[str, dict[str, list[float]]] = {
-            key: {} for key in self.label_keys
+            key: {} for key in LABEL_KEYS
         }
         self._mark_names: dict[str, int] = {}
         self._span_count = 0
@@ -186,14 +227,30 @@ class AggregatingSink(SpanSink):
         per_trace = self._paths.get(trace_id)
         if per_trace is None:
             per_trace = self._paths[trace_id] = {}
-        parent_path = (
-            per_trace.get(parent_id) if parent_id is not None else None
-        )
-        path = f"{parent_path};{name}" if parent_path else name
-        per_trace[span_id] = sys.intern(path)
+        parent = per_trace.get(parent_id) if parent_id is not None else None
+        path = f"{parent.path};{name}" if parent is not None else name
+        per_trace[span_id] = _SpanEntry(sys.intern(path), parent)
 
     def on_span(self, span: Span) -> bool:
-        self.fold(self.path_of(span), span)
+        entry = None
+        if span.trace_id is not None and span.span_id is not None:
+            per_trace = self._paths.get(span.trace_id)
+            if per_trace is not None:
+                entry = per_trace.get(span.span_id)
+        path = entry.path if entry is not None else span.name
+        self._span_count += 1
+        duration = span.duration
+        self._durations.observe(duration, path=path)
+        self._charge(path, entry, span)
+        self._window = _widen(self._window, span)
+        for key in LABEL_KEYS:
+            value = span.attrs.get(key)
+            if value is None:
+                continue
+            text = str(value)
+            self._labels[key].observe(duration, **{key: text})
+            windows = self._label_windows[key]
+            windows[text] = _widen(windows.get(text), span)
         return False
 
     def on_mark(self, mark: Mark) -> bool:
@@ -205,45 +262,27 @@ class AggregatingSink(SpanSink):
         )
         return False
 
-    # -- folding -----------------------------------------------------------
-
-    def path_of(self, span: Span) -> str:
-        """The announced path of ``span`` (its own name if unannounced)."""
-        if span.trace_id is not None and span.span_id is not None:
-            per_trace = self._paths.get(span.trace_id)
-            if per_trace is not None:
-                path = per_trace.get(span.span_id)
-                if path is not None:
-                    return path
-        return span.name
-
-    def fold(self, path: str, span: Span) -> None:
-        """Fold one completed span (at ``path``) into the aggregates."""
-        self._span_count += 1
-        duration = span.duration
-        self._durations.observe(duration, path=path)
-        if self._window is None:
-            self._window = [span.start, span.end]
-        else:
-            if span.start < self._window[0]:
-                self._window[0] = span.start
-            if span.end > self._window[1]:
-                self._window[1] = span.end
-        for key in self.label_keys:
-            value = span.attrs.get(key)
-            if value is None:
-                continue
-            text = str(value)
-            self._labels[key].observe(duration, **{key: text})
-            windows = self._label_windows[key]
-            window = windows.get(text)
-            if window is None:
-                windows[text] = [span.start, span.end]
-            else:
-                if span.start < window[0]:
-                    window[0] = span.start
-                if span.end > window[1]:
-                    window[1] = span.end
+    def _charge(self, path: str, entry: Optional[_SpanEntry], span: Span) -> None:
+        """Charge ``span``'s self time, and its cover to its parent."""
+        covered = 0.0
+        parent = None
+        if entry is not None:
+            entry.start, entry.end = span.start, span.end
+            for lo, hi in entry.union:
+                covered += max(min(hi, span.end) - max(lo, span.start), 0.0)
+            parent = entry.parent
+        # Code-bounded: keyed by span path, like the path histogram.
+        self._exclusive[path] = (  # repro: noqa mem-grow-only-attr
+            self._exclusive.get(path, 0.0) + max(span.duration - covered, 0.0)
+        )
+        if parent is None:
+            return
+        if parent.end is None:
+            _cover(parent.union, span.start, span.end)
+        else:  # a late child: only what it newly covers of the window
+            self._exclusive[parent.path] -= _cover(
+                parent.union, max(span.start, parent.start), min(span.end, parent.end)
+            )
 
     # -- export ------------------------------------------------------------
 
@@ -251,15 +290,18 @@ class AggregatingSink(SpanSink):
         """The aggregates as a canonical, JSON-ready dict.
 
         Counts, min/max, and bucket counts are fold-order-insensitive
-        by construction; sums are rounded to :data:`ROUND` decimals so
-        streamed-completion order and post-hoc forest order produce
-        the same bytes.
+        by construction; sums and exclusive times are rounded to
+        :data:`ROUND` decimals so live completion order and replay
+        order produce the same bytes.
         """
         paths: dict[str, Any] = {}
         for value in self._durations.snapshot()["values"]:
-            paths[value["labels"]["path"]] = _series_record(value)
+            path = value["labels"]["path"]
+            record = paths[path] = _series_record(value)
+            # max(0.0, …) also turns a float-noise -0.0 into 0.0.
+            record["exclusive"] = max(0.0, round(self._exclusive[path], ROUND))
         labels: dict[str, Any] = {}
-        for key in self.label_keys:
+        for key in LABEL_KEYS:
             series: dict[str, Any] = {}
             for value in self._labels[key].snapshot()["values"]:
                 name = value["labels"][key]
@@ -304,31 +346,56 @@ def _series_record(value: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def aggregate_trace(
-    trace: TraceSource,
-    label_keys: Sequence[str] = DEFAULT_LABEL_KEYS,
-    buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-) -> AggregatingSink:
-    """Build the post-hoc aggregate of a fully retained trace.
+def replay(spans: Sequence[Span], marks: Sequence[Mark] = ()) -> AggregatingSink:
+    """Feed a retained trace through a fresh sink, as a live tracer would.
 
-    Paths are assigned by causal-forest assembly (exactly as
-    :mod:`repro.prof` does) and folded through the same sink, so for
-    any run whose spans all completed with recorded parents the result
-    is byte-identical to the streamed aggregate.
+    Spans open (``on_span_start``) in pre-order over the causal forest
+    and close (``on_span``) in post-order; orphans root their own
+    paths.  For any run whose spans all completed with recorded
+    parents the snapshot equals the live one byte for byte.
     """
-    sink = AggregatingSink(label_keys=label_keys, buckets=buckets)
+    sink = AggregatingSink()
 
-    def visit(node: SpanNode, prefix: str) -> None:
-        path = f"{prefix};{node.span.name}" if prefix else node.span.name
-        sink.fold(path, node.span)
+    def visit(node: SpanNode) -> None:
+        span = node.span
+        if span.trace_id is not None and span.span_id is not None:
+            sink.on_span_start(span.trace_id, span.span_id, span.parent_id, span.name)
         for child in node.children:
-            visit(child, path)
+            visit(child)
+        sink.on_span(span)
 
-    for root in build_forest(trace.spans):
-        visit(root, "")
-    for mark in trace.marks:
+    for root in build_forest(spans):
+        visit(root)
+    for mark in marks:
         sink.on_mark(mark)
     return sink
+
+
+def rollup(aggregate: dict[str, Any]) -> list[dict[str, Any]]:
+    """Per-leaf-name view of an aggregate snapshot, by total descending.
+
+    The records of every path ending in a name merge: counts, sums,
+    exclusive times and bucket counts add, min and max take the
+    extremes.  This is the Fig. 3 self-time table.
+    """
+    by_name: dict[str, dict[str, Any]] = {}
+    for path, record in aggregate["paths"].items():
+        name = path.rsplit(";", 1)[-1]
+        merged = by_name.get(name)
+        if merged is None:
+            buckets = [dict(bucket) for bucket in record["buckets"]]
+            by_name[name] = {**record, "name": name, "buckets": buckets}
+            continue
+        for key in ("count", "sum", "exclusive"):
+            merged[key] += record[key]
+        merged["min"] = min(merged["min"], record["min"])
+        merged["max"] = max(merged["max"], record["max"])
+        for bucket, other in zip(merged["buckets"], record["buckets"]):
+            bucket["count"] += other["count"]
+    for merged in by_name.values():
+        merged["sum"] = round(merged["sum"], ROUND)
+        merged["exclusive"] = round(merged["exclusive"], ROUND)
+    return sorted(by_name.values(), key=lambda r: (-r["sum"], r["name"]))
 
 
 def load_aggregate(path: Union[str, Path]) -> dict[str, Any]:

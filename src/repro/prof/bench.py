@@ -324,20 +324,23 @@ def _run_telemetry_stress(seed: int) -> Profile:
     """The kernel stress workload under full span telemetry.
 
     Every round trip and churn round records a span through the
-    streaming pipeline (aggregation plus self-metering, retain-all so
-    the profile still sees every span); the bounded-memory variant of
-    the same run is asserted by ``benchmarks/streaming_gate.py``.
+    streaming pipeline (aggregation plus self-metering); the profile
+    is the live aggregator's snapshot.  Retain-all keeps the
+    ``obs.spans_*`` counters of a run whose tracer holds every span;
+    the bounded-memory variant of the same run is asserted by
+    ``benchmarks/streaming_gate.py``.
     """
     from repro.obs.streaming import AggregatingSink, TelemetryPipeline
     from repro.prof.profile import counters_from_metrics
 
-    sink = TelemetryPipeline(aggregator=AggregatingSink(), retain=True)
+    aggregator = AggregatingSink()
+    sink = TelemetryPipeline(aggregator=aggregator, retain=True)
     tracer, counters = _kernel_stress_run(seed, sink=sink, trace_spans=True)
     tracer.close()
     merged = counters_from_metrics(tracer.metrics.snapshot())
     merged.update(counters.snapshot())
-    return profile_spans(
-        tracer.spans,
+    return Profile.from_aggregate(
+        aggregator.snapshot(),
         counters=merged,
         meta=_meta("telemetry_stress", seed),
     )

@@ -1,13 +1,17 @@
 """Trace-derived profiles: cost attribution per span path.
 
-A :class:`Profile` aggregates a run's causal span forest by *path* —
-the root-to-span chain of names joined with ``;`` (the collapsed-stack
-convention), e.g. ``duroc.request;duroc.submit;gram.submit;gram.auth``.
-Each path carries a call count, **inclusive** simulated time (summed
-span durations) and **exclusive** self time (inclusive minus the time
-covered by child spans; children that overlap — simulated concurrency —
-are merged as an interval union first, so exclusive time is never
-negative and the attribution stays exact).
+A :class:`Profile` is a view of a
+:class:`~repro.obs.streaming.AggregatingSink` snapshot, keyed by
+*path* — the root-to-span chain of names joined with ``;`` (the
+collapsed-stack convention), e.g.
+``duroc.request;duroc.submit;gram.submit;gram.auth``.  Each path
+carries a call count, **inclusive** simulated time (summed span
+durations) and **exclusive** self time (inclusive minus the time
+covered by child spans; children that overlap — simulated concurrency
+— are merged as an interval union first, so exclusive time is never
+negative and the attribution stays exact).  A profile of a retained
+trace replays it through a fresh aggregator; a live aggregator's
+snapshot gives the same profile.
 
 Profiles serialize to canonical JSON — sorted keys, fixed float
 rounding, trailing newline — so two runs of the same seed produce
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence, Union
 
-from repro.obs.query import SpanNode, build_forest
+from repro.obs.streaming import ROUND, replay
 from repro.simcore.tracing import Span
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,11 +36,6 @@ FORMAT = "repro.prof/1"
 
 #: Path separator between span names (the collapsed-stack convention).
 SEP = ";"
-
-#: Decimal places kept for times in the canonical serialization; 1 ns
-#: resolution, far below any modeled cost, so rounding never merges two
-#: genuinely different attributions.
-ROUND = 9
 
 #: Metrics-registry counters folded into a profile's op-count section,
 #: mapped to their profile counter names.  Totals are summed across
@@ -168,6 +167,26 @@ class Profile:
         )
 
     @classmethod
+    def from_aggregate(
+        cls,
+        aggregate: Mapping[str, Any],
+        counters: Optional[Mapping[str, float]] = None,
+        meta: Optional[Mapping[str, Any]] = None,
+    ) -> "Profile":
+        """A profile view of a :mod:`repro.obs.streaming` snapshot."""
+        window = aggregate["window"]
+        return cls(
+            paths={
+                path: PathStats(path, r["count"], r["sum"], r["exclusive"])
+                for path, r in aggregate["paths"].items()
+            },
+            counters=counters,
+            meta=meta,
+            span_count=aggregate["spans"],
+            total_time=round(window["end"] - window["start"], ROUND) if window else 0.0,
+        )
+
+    @classmethod
     def loads(cls, text: str) -> "Profile":
         return cls.from_json(json.loads(text))
 
@@ -185,37 +204,6 @@ class Profile:
 # -- building ----------------------------------------------------------------
 
 
-def _covered(span: Span, children: Sequence[SpanNode]) -> float:
-    """Length of the union of child windows, clipped to ``span``'s own.
-
-    Children of a simulated span may overlap each other (concurrent
-    subjobs) or spill past the parent (a retry closing late); clipping
-    and merging keeps exclusive time exact and non-negative.
-    """
-    intervals = sorted(
-        (max(child.span.start, span.start), min(child.span.end, span.end))
-        for child in children
-        if child.span.end > span.start and child.span.start < span.end
-    )
-    covered = 0.0
-    cursor = span.start
-    for start, end in intervals:
-        start = max(start, cursor)
-        if end > start:
-            covered += end - start
-            cursor = end
-    return covered
-
-
-class _Accumulator:
-    __slots__ = ("count", "inclusive", "exclusive")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.inclusive = 0.0
-        self.exclusive = 0.0
-
-
 def profile_spans(
     spans: Sequence[Span],
     counters: Optional[Mapping[str, float]] = None,
@@ -223,48 +211,12 @@ def profile_spans(
 ) -> Profile:
     """Aggregate ``spans`` into a :class:`Profile`.
 
-    Spans are first assembled into the causal forest (orphans — spans
-    whose parent was not recorded — root their own paths, so a profile
-    can always be built from any trace slice).
+    The spans are replayed through the streaming aggregator in causal
+    forest order (orphans — spans whose parent was not recorded — root
+    their own paths, so a profile can always be built from any trace
+    slice).
     """
-    acc: dict[str, _Accumulator] = {}
-
-    def visit(node: SpanNode, prefix: str) -> None:
-        path = f"{prefix}{SEP}{node.span.name}" if prefix else node.span.name
-        slot = acc.get(path)
-        if slot is None:
-            slot = acc[path] = _Accumulator()
-        duration = node.span.duration
-        slot.count += 1
-        slot.inclusive += duration
-        slot.exclusive += max(duration - _covered(node.span, node.children), 0.0)
-        for child in node.children:
-            visit(child, path)
-
-    for root in build_forest(spans):
-        visit(root, "")
-
-    paths = {
-        path: PathStats(
-            path=path,
-            count=slot.count,
-            inclusive=round(slot.inclusive, ROUND),
-            exclusive=round(slot.exclusive, ROUND),
-        )
-        for path, slot in acc.items()
-    }
-    total_time = (
-        round(max(s.end for s in spans) - min(s.start for s in spans), ROUND)
-        if spans
-        else 0.0
-    )
-    return Profile(
-        paths=paths,
-        counters=counters,
-        meta=meta,
-        span_count=len(spans),
-        total_time=total_time,
-    )
+    return Profile.from_aggregate(replay(spans).snapshot(), counters, meta)
 
 
 def counters_from_metrics(snapshot: Mapping[str, Any]) -> dict[str, float]:

@@ -1,4 +1,4 @@
-"""Unit tests for trace-tree assembly, validation, and summaries."""
+"""Unit tests for trace-tree assembly, validation, and name summaries."""
 
 import pytest
 
@@ -6,10 +6,11 @@ from repro.obs.query import (
     build_forest,
     critical_path,
     parentage,
-    summarize,
     trace_ids,
     tree,
 )
+from repro.obs.metrics import histogram_summary
+from repro.obs.streaming import replay, rollup
 from repro.simcore import Environment, Tracer
 
 
@@ -90,21 +91,27 @@ class TestCriticalPath:
         assert [n.name for n in critical_path(root)] == ["only"]
 
 
+def summarize(spans):
+    """The ``obs summary`` rows: the per-name rollup of a replay."""
+    return rollup(replay(spans).snapshot())
+
+
 class TestSummarize:
     def test_percentiles_nearest_rank(self, tracer):
         for d in range(1, 11):  # durations 1..10
             tracer.record("op", 0.0, float(d))
         (stats,) = summarize(tracer.spans)
-        assert stats.count == 10
-        assert stats.p50 == 5.0
-        assert stats.p95 == 10.0
-        assert stats.max == 10.0
-        assert stats.total == 55.0
+        quantiles = histogram_summary(stats, (0.5, 0.95))
+        assert stats["count"] == 10
+        assert quantiles["p50"] == 5.0
+        assert quantiles["p95"] == 10.0
+        assert stats["max"] == 10.0
+        assert stats["sum"] == 55.0
 
     def test_sorted_by_total_descending(self, tracer):
         tracer.record("small", 0.0, 1.0)
         tracer.record("large", 0.0, 50.0)
-        assert [s.name for s in summarize(tracer.spans)] == ["large", "small"]
+        assert [s["name"] for s in summarize(tracer.spans)] == ["large", "small"]
 
     def test_empty(self):
         assert summarize([]) == []

@@ -6,8 +6,9 @@ events recorded as spans), spans whose parent never closed (missing
 parents), and single-event traces.
 """
 
-from repro.obs.query import build_forest, summarize
+from repro.obs.query import build_forest
 from repro.obs.render import BAR, render_gantt, render_summary, render_tree
+from repro.obs.streaming import replay, rollup
 from repro.simcore.tracing import Mark, Span
 
 
@@ -38,10 +39,11 @@ class TestZeroDurationSpans:
         assert blip_line.count(BAR) == 1
 
     def test_zero_duration_summary_stats(self):
-        stats = summarize([span("z", 3.0, 3.0)])
-        assert stats[0].count == 1
-        assert stats[0].total == 0.0
-        assert stats[0].max == 0.0
+        stats = rollup(replay([span("z", 3.0, 3.0)]).snapshot())
+        assert stats[0]["count"] == 1
+        assert stats[0]["sum"] == 0.0
+        assert stats[0]["exclusive"] == 0.0
+        assert stats[0]["max"] == 0.0
         assert "z" in render_summary(stats)
 
 

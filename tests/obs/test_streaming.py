@@ -7,24 +7,30 @@ The properties gated here are the pipeline's contract (and CI's
   seed, same kept set; whole causal trees live or die together;
 * the incremental JSONL exporter is byte-identical to the end-of-run
   ``export_jsonl`` over every bench-scenario shape and buffer size;
-* the streamed aggregate equals the post-hoc aggregation of the full
-  dump, even when the exporter samples;
+* the streamed aggregate equals the replay of the full dump, even
+  when the exporter samples;
+* the aggregator's exclusive time equals a reference interval sweep
+  over any span forest, whichever order parents and children close;
 * a sinked tracer meters itself and stays bounded.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gridenv import GridBuilder
 from repro.obs.export import TraceDump, export_jsonl
+from repro.obs.query import build_forest
 from repro.obs.streaming import (
     AggregatingSink,
     JsonlStreamSink,
     TelemetryPipeline,
     TraceSampler,
-    aggregate_trace,
     load_aggregate,
+    replay,
+    rollup,
 )
 from repro.prof.bench import (
     DEFAULT_SEED,
@@ -32,6 +38,7 @@ from repro.prof.bench import (
     _figure1_request,
     _kernel_stress_run,
 )
+from repro.simcore.tracing import Span
 
 # -- bench-scenario shapes, runnable with or without a sink ------------------
 
@@ -192,7 +199,7 @@ class TestAggregation:
         aggregator = AggregatingSink()
         runner(sink=TelemetryPipeline(aggregator=aggregator))
         streamed = aggregator.snapshot()
-        posthoc = aggregate_trace(_dump_of(reference)).snapshot()
+        posthoc = replay(reference.spans, reference.marks).snapshot()
         assert json.dumps(streamed, sort_keys=True) == json.dumps(
             posthoc, sort_keys=True
         )
@@ -235,6 +242,150 @@ class TestAggregation:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_aggregate(path)
+
+
+# -- exclusive time against a reference sweep --------------------------------
+
+
+def _covered(span, children):
+    """Reference: length of the union of child windows clipped to ``span``.
+
+    A sort-and-sweep over every child at once — the batch computation
+    the streaming aggregator's incremental union must agree with.
+    """
+    intervals = sorted(
+        (max(child.span.start, span.start), min(child.span.end, span.end))
+        for child in children
+        if child.span.end > span.start and child.span.start < span.end
+    )
+    covered = 0.0
+    cursor = span.start
+    for start, end in intervals:
+        start = max(start, cursor)
+        if end > start:
+            covered += end - start
+            cursor = end
+    return covered
+
+
+def _reference_exclusive(spans):
+    """Per-path exclusive time, by the reference sweep over the forest."""
+    totals = {}
+
+    def visit(node, prefix):
+        path = f"{prefix};{node.span.name}" if prefix else node.span.name
+        own = max(node.span.duration - _covered(node.span, node.children), 0.0)
+        totals[path] = totals.get(path, 0.0) + own
+        for child in node.children:
+            visit(child, path)
+
+    for root in build_forest(spans):
+        visit(root, "")
+    return {path: round(total, 9) for path, total in totals.items()}
+
+
+def _emit(sink, spans, parent_first):
+    """Announce in pre-order; close each span before or after its children."""
+
+    def visit(node):
+        span = node.span
+        if span.trace_id is not None:
+            sink.on_span_start(
+                span.trace_id, span.span_id, span.parent_id, span.name
+            )
+        if parent_first(span):
+            sink.on_span(span)
+        for child in node.children:
+            visit(child)
+        if not parent_first(span):
+            sink.on_span(span)
+
+    for root in build_forest(spans):
+        visit(root)
+    return sink
+
+
+#: Quarter-second grid: every sum is exact, so rounding cannot differ.
+_TIMES = st.integers(min_value=0, max_value=160).map(lambda q: q / 4)
+
+
+@st.composite
+def _forests(draw):
+    """Random span forests: nested, overlapping, spilling and orphan spans."""
+    spans = []
+    for sid in range(1, draw(st.integers(min_value=1, max_value=24)) + 1):
+        start = draw(_TIMES)
+        end = start + draw(_TIMES)
+        parent = draw(
+            st.one_of(
+                st.none(),
+                st.just(999),  # an orphan: its parent was never recorded
+                st.integers(min_value=1, max_value=max(1, sid - 1)),
+            )
+        )
+        if parent == sid:
+            parent = None
+        # A trace-less span cannot be a parent or a child.
+        untraced = draw(st.integers(min_value=0, max_value=9)) == 0
+        spans.append(
+            Span(
+                draw(st.sampled_from("abc")), start, end, {},
+                None if untraced else "t1",
+                sid,
+                None if untraced else parent,
+            )
+        )
+    late = draw(st.frozensets(st.integers(min_value=1, max_value=24)))
+    return spans, late
+
+
+class TestExclusiveTime:
+    @settings(max_examples=200, deadline=None)
+    @given(_forests())
+    def test_matches_reference_sweep(self, forest):
+        spans, late = forest
+        expected = _reference_exclusive(spans)
+        orders = {
+            "children close first": lambda span: False,
+            "parent recorded first": lambda span: True,
+            "mixed": lambda span: span.span_id in late,
+        }
+        for order, parent_first in orders.items():
+            snapshot = _emit(AggregatingSink(), spans, parent_first).snapshot()
+            got = {path: r["exclusive"] for path, r in snapshot["paths"].items()}
+            assert got == expected, order
+
+    def test_late_child_subtracts_only_new_cover(self):
+        sink = AggregatingSink()
+        sink.on_span_start("t", 1, None, "root")
+        sink.on_span(Span("root", 0.0, 10.0, {}, "t", 1, None))
+        for sid, (start, end) in enumerate([(1.0, 4.0), (3.0, 6.0), (8.0, 12.0)], 2):
+            sink.on_span_start("t", sid, 1, "kid")
+            sink.on_span(Span("kid", start, end, {}, "t", sid, 1))
+        paths = sink.snapshot()["paths"]
+        # Covered: [1, 6] plus [8, 10] of the root's window.
+        assert paths["root"]["exclusive"] == 3.0
+        assert paths["root;kid"]["exclusive"] == 10.0
+
+
+class TestRollup:
+    def test_merges_every_path_ending_in_a_name(self):
+        spans = [
+            Span("root", 0.0, 10.0, {}, "t", 1, None),
+            Span("auth", 1.0, 2.0, {}, "t", 2, 1),
+            Span("other", 3.0, 6.0, {}, "t", 3, 1),
+            Span("auth", 4.0, 4.5, {}, "t", 4, 3),
+        ]
+        (root, other, auth) = rollup(replay(spans).snapshot())
+        assert [r["name"] for r in (root, other, auth)] == [
+            "root", "other", "auth"
+        ]
+        assert auth["count"] == 2
+        assert auth["sum"] == 1.5
+        assert auth["exclusive"] == 1.5
+        assert (auth["min"], auth["max"]) == (0.5, 1.0)
+        assert auth["buckets"][-1] == {"le": "+Inf", "count": 2}
+        assert other["exclusive"] == 2.5
 
 
 class TestPipelineMetering:
